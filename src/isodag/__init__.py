@@ -31,6 +31,7 @@ from .signals import (AssouadSpec, HyperrectPartition, PackingSet, SignalSpec,
 from .solvers import (CertificateError, ConvergenceError, DualCertificate,
                       IsotonicProblem, ProjectionResult, is_chain, lse_fit,
                       minmax_project_oracle, pava_chain, project_dykstra,
+                      project_partition,
                       verify_projection_certificate)
 
 __version__ = "0.1.0"

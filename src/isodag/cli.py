@@ -14,7 +14,8 @@ Subcommands::
 Every subcommand accepts ``--config FILE`` with flat ``key = value`` lines
 (keys are flag names with ``-`` or ``_``); explicit command-line flags win.
 Exit codes: 0 success, 2 validation error, 3 solver convergence or
-certificate failure.
+certificate failure, including sweeps in which some replicate failed (the
+report is still written, and stderr names the count).
 """
 
 from __future__ import annotations
@@ -167,12 +168,16 @@ def _add_common(sub: argparse.ArgumentParser, *names: str):
         "mc_samples": (("--mc-samples",), {"type": int, "default": 0,
                                            "help": "population-risk MC points (random sweeps)"}),
         "solver": (("--solver",), {"type": str, "default": "auto",
-                                   "choices": ["auto", "dykstra", "pava", "oracle"]}),
-        "tol": (("--tol",), {"type": float, "default": 1e-8}),
+                                   "choices": ["auto", "partition", "dykstra", "pava",
+                                               "oracle"]}),
+        "tol": (("--tol",), {"type": float, "default": 1e-8,
+                             "help": "Dykstra stopping tolerance; the other solvers are exact"}),
         "out": (("--out",), {"type": str, "default": None, "help": "output file path"}),
         "format": (("--format",), {"type": str, "default": "csv",
                                    "choices": ["csv", "json"]}),
-        "threads": (("--threads",), {"type": int, "default": 1}),
+        "threads": (("--threads",), {"type": int, "default": 1,
+                                     "help": "accepted and echoed in reports; replicates "
+                                             "run in order, whatever the value"}),
         "experiment": (("--experiment",), {"type": str, "default": None,
                                            "help": "experiment name recorded in reports"}),
         "data": (("--data",), {"type": str, "default": None,
@@ -340,6 +345,12 @@ def _cmd_sweep(args, design: str) -> int:
     if report.rows and report.rows[0].slope_fit is not None:
         print(f"fitted log-log slope: {report.rows[0].slope_fit!r}")
     print(f"wrote {args.out}")
+    failed = report.notes.get("failed_replicates", {})
+    if failed:
+        counts = ", ".join(f"n={n}: {c}" for n, c in failed.items())
+        print(f"solver did not converge in {sum(failed.values())} replicates ({counts}); "
+              f"their risks are nan", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -4,9 +4,10 @@ A sweep runs the least-squares isotonic fit over a grid of sample sizes,
 replicating each size across independent noise streams, and reports mean
 empirical risk with its Monte Carlo standard error.  Reports serialize to
 CSV (fixed column order) or JSON (with a config echo); identical configs
-produce byte-identical files regardless of the thread count because every
-replicate owns a dedicated stream and aggregation always runs in ascending
-stream order.
+produce byte-identical files because every replicate owns a dedicated stream
+and replicates run, and aggregate, in ascending stream order.  The
+``threads`` setting is accepted and echoed but changes nothing: the solves
+are Python-bound, so a thread pool only contended for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import csv
 import importlib.metadata
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
@@ -41,7 +41,8 @@ class ExperimentConfig:
     for lattice designs each entry must be a perfect ``d``-th power.  The
     signal is a :class:`SignalSpec` for lattice designs, a callable
     ``f0(points) -> values`` for random designs, or ``None`` for the zero
-    signal in either case.
+    signal in either case.  ``threads`` is validated and echoed, but
+    replicates always run in order on the calling thread.
     """
 
     experiment: str
@@ -128,23 +129,25 @@ class RiskReport:
     notes: dict = field(default_factory=dict, compare=False)
 
 
-def _fill_replicates(qs: np.ndarray, worker: Callable[[int], float], threads: int):
-    """Run ``worker(r)`` for every replicate index, writing ``qs[r]``;
-    failed replicates record ``nan``.  Results are index-addressed, so the
-    contents do not depend on scheduling."""
-
-    def run_one(r: int):
+def _fill_replicates(qs: np.ndarray, worker: Callable[[int], float]) -> int:
+    """Run ``worker(r)`` for every replicate index in order, writing
+    ``qs[r]``.  A replicate whose solver did not converge records ``nan``;
+    returns how many did so."""
+    failed = 0
+    for r in range(qs.size):
         try:
             qs[r] = worker(r)
         except ConvergenceError:
             qs[r] = math.nan
+            failed += 1
+    return failed
 
-    if threads == 1:
-        for r in range(qs.size):
-            run_one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(qs.size)))
+
+def _failure_notes(failed: dict[str, int]) -> dict:
+    """``{"failed_replicates": {n: count}}`` over the sizes with failures;
+    empty when none failed, so clean reports keep their bytes."""
+    nonzero = {n: c for n, c in failed.items() if c}
+    return {"failed_replicates": nonzero} if nonzero else {}
 
 
 def _aggregate_rows(config: ExperimentConfig, per_n: list[tuple[int, np.ndarray, float | None]],
@@ -190,12 +193,23 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
     same squared projection norms as ``statdim_mc`` on those streams, and
     the row's ``statdim_mean`` then holds that replicate mean, with
     ``risk_mean = statdim_mean / n`` by a single division.
+
+    The streams are keyed by position in ``n_grid``, not by ``n``, so a
+    size's row depends on the sizes before it: the same ``(seed, n,
+    replicates)`` cell draws different noise in ``n_grid=(729,)`` and in
+    ``n_grid=(64, 729)``.  Keying by ``n`` would change every sweep's bytes.
+
+    A replicate whose solver does not converge (reachable only with
+    ``solver="dykstra"``) records ``nan``, and the per-size count of such
+    replicates lands in ``report.notes["failed_replicates"]``, keyed by
+    ``str(n)`` and present only when some replicate failed.
     """
     if config.design != "lattice":
         raise ValueError("run_fixed_sweep requires a lattice design")
     if config.signal is not None and not isinstance(config.signal, SignalSpec):
         raise ValueError("lattice sweeps take a SignalSpec (or None) signal")
     per_n = []
+    failed = {}
     for j, n in enumerate(config.n_grid):
         n1 = lattice_side(n, config.d)
         spec = LatticeSpec((n1,) * config.d)
@@ -216,10 +230,11 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
             return float(np.dot(w * diff, diff))
 
         qs = np.empty(config.replicates)
-        _fill_replicates(qs, worker, config.threads)
+        failed[str(n)] = _fill_replicates(qs, worker)
         per_n.append((n, qs, is_zero))
     return RiskReport(config=config.to_dict(),
-                      rows=_aggregate_rows(config, per_n, "worst_fixed"))
+                      rows=_aggregate_rows(config, per_n, "worst_fixed"),
+                      notes=_failure_notes(failed))
 
 
 def _dedup_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +267,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     (``mc_points`` fresh draws on stream ``10**9 + j*replicates + r``, far
     above any design/noise stream).  Per-size means and standard errors of
     those integrals land in ``report.notes["l2p"]``, keyed by ``str(n)``;
-    the CSV schema is unchanged.
+    the CSV schema is unchanged.  Streams and failed replicates are keyed
+    and counted as in :func:`run_fixed_sweep`.
     """
     if config.design != "random":
         raise ValueError("run_random_sweep requires a random design")
@@ -265,6 +281,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     truth = f0 if f0 is not None else (lambda pts: np.zeros(len(pts)))
     per_n = []
     l2p_notes = {}
+    failed = {}
     for j, n in enumerate(config.n_grid):
         base = j * config.replicates
         l2ps = np.full(config.replicates, math.nan) if config.mc_points else None
@@ -288,7 +305,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             return float(np.dot(w * diff, diff))
 
         qs = np.empty(config.replicates)
-        _fill_replicates(qs, worker, config.threads)
+        failed[str(n)] = _fill_replicates(qs, worker)
         per_n.append((n, qs, None))
         if l2ps is not None:
             l2p_notes[str(n)] = {
@@ -296,6 +313,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
                 "stderr": float(np.std(l2ps, ddof=1) / math.sqrt(l2ps.size)),
                 "mc_points": config.mc_points}
     notes = {"l2p": l2p_notes} if l2p_notes else {}
+    notes.update(_failure_notes(failed))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_random"),
                       notes=notes)

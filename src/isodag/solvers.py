@@ -5,18 +5,22 @@ Given data ``y`` and positive weights ``w``, the fit is the minimizer of
 respect to the partial order: ``theta_u <= theta_v`` for every cover edge
 ``u -> v``.
 
-Three routes to the same projection:
+Four routes to the same projection:
 
 * :func:`pava_chain` -- exact pooling for totally ordered data, O(n).
+* :func:`project_partition` -- exact recursive partitioning for general
+  DAGs: each block splits at its weighted mean along a maximum-weight upper
+  set, found for all blocks of a level by one integer maximum flow.
 * :func:`project_dykstra` -- cyclic Dykstra projections over the cover-edge
   halfspaces for general DAGs, with correction terms guaranteeing convergence
-  to the exact projection.
+  to the exact projection; iterative, kept as an independent cross-check.
 * :func:`minmax_project_oracle` -- the closed-form min-max over upper and
   lower sets, exponential in n; the reference oracle for small problems.
 
-:func:`verify_projection_certificate` checks an alleged projection against
-the KKT conditions of the cone program, recovering nonnegative edge
-multipliers by nonnegative least squares.
+:func:`lse_fit` with ``solver="auto"`` uses PAVA on chains and partitioning
+on every other order.  :func:`verify_projection_certificate` checks an
+alleged projection against the KKT conditions of the cone program,
+recovering nonnegative edge multipliers by nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import isotonic_regression, nnls
+from scipy.optimize import isotonic_regression, linprog, nnls
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 from .orders import Dag, upper_set_masks
 
@@ -161,6 +167,169 @@ def is_chain(dag: Dag) -> bool:
     return bool(outdeg.max(initial=0) <= 1 and indeg.max(initial=0) <= 1)
 
 
+def _binary_unit(y: np.ndarray) -> float:
+    """Exact power of two taking ``max |y|`` into ``[1, 2)`` (1 for zero data).
+
+    Multiplying by it changes no mantissa, so every rounding decision made
+    on the rescaled data is the one made on ``y``, while sums of squares and
+    products can no longer under- or overflow.
+    """
+    m = float(np.max(np.abs(y), initial=0.0))
+    return math.ldexp(1.0, min(1 - math.frexp(m)[1], 1023)) if m else 1.0
+
+
+# ---------------------------------------------------------------------------
+# partitioning on general DAGs
+
+# A block's positive gains are quantized to integers summing to at most
+# 2**_QUANT_BITS; cover edges inside a block get a capacity above any block's
+# total, so no minimum cut ever crosses one.  Both fit the int32 capacities
+# of scipy's maximum_flow.
+_QUANT_BITS = 30
+_UNCUTTABLE = 2**31 - 1
+
+
+def _closure_lp(g: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Maximum-weight upper set of one block by linear programming.
+
+    Maximizes ``g @ x`` over ``0 <= x <= 1`` with ``x_u <= x_v`` on the
+    block's cover edges (local ids).  The constraint matrix is a network
+    matrix, so the simplex vertex returned is 0/1.  The gains are scaled to
+    unit binary magnitude and the solver runs at its tightest feasibility
+    tolerances, since it is only asked about near-ties.
+    """
+    m = eu.size
+    A = csr_matrix((np.r_[np.ones(m), -np.ones(m)], (np.r_[np.arange(m), np.arange(m)],
+                                                     np.r_[eu, ev])), shape=(m, g.size))
+    res = linprog(-g * _binary_unit(g), A_ub=A, b_ub=np.zeros(m), bounds=(0.0, 1.0),
+                  method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError(f"closure LP failed: {res.message}")
+    return res.x > 0.5
+
+
+def _pool_violators(theta: np.ndarray, label: np.ndarray, w: np.ndarray,
+                    ys: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Merge blocks across violated cover edges until ``theta`` is isotonic.
+
+    Blocks whose exact fits are equal can come out of floating-point means
+    an ulp apart in the wrong order; pooling them restores the common value.
+    Every pass removes at least one block, so the loop ends.
+    """
+    while True:
+        bad = theta[eu] > theta[ev]
+        if not bad.any():
+            return theta
+        k = int(label.max()) + 1
+        links = csr_matrix((np.ones(int(bad.sum())), (label[eu[bad]], label[ev[bad]])),
+                           shape=(k, k))
+        _, comp = connected_components(links, directed=False)
+        pooled = np.bincount(comp) > 1
+        label = comp[label]
+        means = np.bincount(label, w * ys) / np.bincount(label, w)
+        theta = np.where(pooled[label], means[label], theta)
+
+
+def project_partition(problem: IsotonicProblem) -> ProjectionResult:
+    """Exact cone projection by recursive partitioning at block means.
+
+    Every vertex starts in one block.  On each level, an active block ``B``
+    with weighted mean ``c_B`` whose data violates one of its inner cover
+    edges takes the gains ``g_i = w_i (y_i - c_B)`` and looks for the upper
+    set ``U`` of ``B`` with the largest total gain, a maximum-weight closure
+    (Picard 1976).  If that gain is positive and ``U`` is a proper subset,
+    the fit is at least ``c_B`` on ``U`` and at most ``c_B`` on the rest
+    (Hochbaum & Queyranne 2003), so the cover edges between the two parts
+    can be dropped and both parts are split further.  Otherwise the fit is
+    constant on ``B``, namely its mean.  A block whose data is already
+    isotonic is final with the data as its fit.  Blocks stay convex in the
+    order, so only their inner cover edges matter.
+
+    The blocks of a level are disjoint, so all their closures come from one
+    integer maximum flow (Dinic): source arcs for ``g > 0``, sink arcs for
+    ``g < 0``, an uncuttable arc per inner cover edge, and the upper sets
+    are the vertices reachable from the source in the residual graph.
+    Exactness guards:
+
+    * the data is rescaled by an exact power of two, and each block's gains
+      by its own power of two so that its positive gains sum to at most
+      ``2**30`` before rounding to integers;
+    * a split happens only when the cut's gain, recomputed in floating
+      point, is positive; a block whose integer cut has positive gain but
+      whose floating-point gain is not is re-split by a linear program
+      (:func:`_closure_lp`);
+    * fitted values are block means (or the data) in floating point, and
+      blocks that end up an ulp out of order across a cover edge are
+      pooled, so the fit is always isotonic.
+
+    The quantization can hide a closure gain below about ``|B| * 2**-31``
+    of the block's positive gains; only near-ties that close come out
+    differently from the exact projection.  ``iterations`` counts levels:
+    one for isotonic or constant data.
+    """
+    w = problem.weights
+    n = problem.dag.n_vertices
+    unit = _binary_unit(problem.y)
+    ys = problem.y * unit
+    edges = problem.dag.cover_edges
+    eu, ev = edges[:, 0], edges[:, 1]
+    src, snk = n, n + 1
+    label = np.zeros(n, dtype=np.int64)
+    active = np.ones(1, dtype=bool)      # per block: still to be split
+    identity = np.zeros(1, dtype=bool)   # per block: final, fit equals data
+    levels = 0
+    while active.any():
+        levels += 1
+        k = active.size
+        inner = label[eu] == label[ev]
+        violated = np.bincount(label[eu[inner & (ys[eu] > ys[ev])]], minlength=k) > 0
+        identity |= active & ~violated
+        active &= violated
+        if not active.any():
+            break
+        on = active[label]
+        mean = np.bincount(label, w * ys, k) / np.bincount(label, w, k)
+        g = np.where(on, w * (ys - mean[label]), 0.0)
+        pos = np.bincount(label, np.maximum(g, 0.0), k)
+        scale = np.ldexp(1.0, np.minimum(_QUANT_BITS - np.frexp(pos)[1], 1023))
+        q = np.rint(g * scale[label]).astype(np.int64)
+        ie = inner & on[eu]
+        up = np.flatnonzero(q > 0)
+        down = np.flatnonzero(q < 0)
+        net = csr_matrix(
+            (np.r_[q[up], -q[down], np.full(int(ie.sum()), _UNCUTTABLE)].astype(np.int32),
+             (np.r_[np.full(up.size, src), down, eu[ie]],
+              np.r_[up, np.full(down.size, snk), ev[ie]])),
+            shape=(n + 2, n + 2))
+        residual = net - maximum_flow(net, src, snk, method="dinic").flow
+        residual.eliminate_zeros()
+        upper = np.zeros(n + 2, dtype=bool)
+        upper[breadth_first_order(residual, src, return_predecessors=False)] = True
+        upper = upper[:n] & on
+
+        size = np.bincount(label, minlength=k)
+        usize = np.bincount(label[upper], minlength=k)
+        gain = np.bincount(label[upper], g[upper], k)
+        for b in np.flatnonzero((usize > 0) & (usize < size) & (gain <= 0.0)):
+            members = np.flatnonzero(label == b)
+            local = ie & (label[eu] == b)
+            sub = _closure_lp(g[members], np.searchsorted(members, eu[local]),
+                              np.searchsorted(members, ev[local]))
+            upper[members] = sub
+            usize[b] = sub.sum()
+            gain[b] = g[members][sub].sum()
+        split = (usize > 0) & (usize < size) & (gain > 0.0)
+        fresh = k + np.cumsum(split) - 1
+        label = np.where(upper & split[label], fresh[label], label)
+        active = np.r_[split, np.ones(int(split.sum()), dtype=bool)]
+        identity = np.r_[identity, np.zeros(int(split.sum()), dtype=bool)]
+    mean = np.bincount(label, w * ys) / np.bincount(label, w)
+    theta = np.where(identity[label], ys, mean[label])
+    theta = _pool_violators(theta, label, w, ys, eu, ev) / unit
+    return _result_from_theta(problem, theta, iterations=levels)
+
+
 # ---------------------------------------------------------------------------
 # Dykstra on general DAGs
 
@@ -285,8 +454,7 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
     # scales by the same exact factor and the decisions are unchanged, but
     # |y|_w^2 can no longer underflow to zero (which would turn the test
     # into the vacuous 0 <= 0 for data below ~1e-154) or overflow.
-    m = float(np.max(np.abs(y), initial=0.0))
-    unit = math.ldexp(1.0, min(1 - math.frexp(m)[1], 1023)) if m else 1.0
+    unit = _binary_unit(y)
     ys = y * unit
     gap_tol = tol * float(np.dot(w * ys, ys))
     max_violation = gap = change = 0.0
@@ -444,16 +612,18 @@ def lse_fit(dag: Dag, y, weights=None, solver: str = "auto", tol: float = DEFAUL
             certificate_tol: float = DEFAULT_CERT_TOL) -> ProjectionResult:
     """Weighted least-squares isotonic fit on a DAG.
 
-    ``solver`` is one of ``"auto"`` (PAVA when the order is a chain, Dykstra
-    otherwise), ``"pava"`` (chains only), ``"dykstra"``, or ``"oracle"``
-    (min-max enumeration, small n only).  With ``certify=True`` the result
+    ``solver`` is one of ``"auto"`` (PAVA when the order is a chain,
+    partitioning otherwise), ``"pava"`` (chains only), ``"partition"``,
+    ``"dykstra"``, or ``"oracle"`` (min-max enumeration, small n only).
+    ``tol`` and ``max_sweeps`` apply to Dykstra alone; the other routes are
+    exact and take no tolerance.  With ``certify=True`` the result
     carries a :class:`DualCertificate`; a failed check raises
     :class:`CertificateError`.
     """
     problem = IsotonicProblem(dag, y, weights)
     choice = solver
     if choice == "auto":
-        choice = "pava" if is_chain(dag) else "dykstra"
+        choice = "pava" if is_chain(dag) else "partition"
     if choice == "pava":
         if not is_chain(dag):
             raise ValueError("pava solver requires a chain order")
@@ -461,6 +631,8 @@ def lse_fit(dag: Dag, y, weights=None, solver: str = "auto", tol: float = DEFAUL
         theta = np.empty_like(problem.y)
         theta[order] = pava_chain(problem.y[order], problem.weights[order])
         result = _result_from_theta(problem, theta, iterations=1)
+    elif choice == "partition":
+        result = project_partition(problem)
     elif choice == "dykstra":
         result = project_dykstra(problem, tol=tol, max_sweeps=max_sweeps)
     elif choice == "oracle":
@@ -482,7 +654,12 @@ def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,
         max_violation = float(np.max(theta[edges[:, 0]] - theta[edges[:, 1]], initial=0.0))
     else:
         max_violation = 0.0
-    gap = float(abs(np.dot(problem.weights * (problem.y - theta), theta)))
+    # Evaluated at unit binary scale, which is exact for ordinary data; near
+    # the ends of the float range the Python division reads 0 or inf
+    # instead of warning of under- or overflow.
+    unit = _binary_unit(problem.y)
+    ts = theta * unit
+    gap = float(abs(np.dot(problem.weights * (problem.y * unit - ts), ts))) / unit / unit
     return ProjectionResult(theta_hat=theta, residual=problem.y - theta,
                             iterations=iterations, max_violation=max_violation,
                             inner_product_gap=gap)

@@ -1,4 +1,7 @@
-"""Cone projection: PAVA, Dykstra, the min-max oracle, KKT certificates."""
+"""Cone projection: PAVA, partitioning, Dykstra, the min-max oracle, KKT
+certificates."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isodag.orders import Dag, LatticeSpec, build_lattice, is_isotonic
+from isodag import solvers
+from isodag.cli import main
+from isodag.design import DesignSampler, draw_design
+from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice, is_isotonic,
+                           upper_set_masks)
+from isodag.signals import SignalSpec, generate_signal
 from isodag.solvers import (
     CertificateError,
     ConvergenceError,
@@ -16,6 +24,7 @@ from isodag.solvers import (
     minmax_project_oracle,
     pava_chain,
     project_dykstra,
+    project_partition,
     verify_projection_certificate,
 )
 
@@ -289,3 +298,138 @@ def test_problem_validation():
         IsotonicProblem(dag, np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         IsotonicProblem(dag, np.array([0.0, np.nan, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# recursive partitioning
+
+
+def _criterion_01_family():
+    """The random DAGs and data of acceptance criterion 01, in its order."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        order = rng.permutation(n)
+        edges = [(int(order[i]), int(order[j]))
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        yield Dag.from_edges(n, edges), 2.0 * rng.standard_normal(n)
+
+
+def test_partition_matches_oracle_on_criterion_01_family():
+    for dag, y in _criterion_01_family():
+        ours = lse_fit(dag, y, solver="partition").theta_hat
+        oracle = lse_fit(dag, y, solver="oracle").theta_hat
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _tight_dykstra_cases():
+    for sides in ((16, 16), (8, 8, 8)):
+        spec = LatticeSpec(sides)
+        yield f"{spec.n} zero", build_lattice(spec), np.zeros(spec.n)
+    spec = LatticeSpec((8, 8, 8))
+    yield "512 linear", build_lattice(spec), generate_signal(SignalSpec.linear_mean(), spec)
+    X = draw_design(np.random.default_rng(11), DesignSampler.uniform(2), 500)
+    yield "random d=2 n=500", build_design_dag(X), np.zeros(500)
+
+
+@pytest.mark.parametrize("case", list(_tight_dykstra_cases()), ids=lambda c: c[0])
+def test_partition_matches_tight_dykstra(case):
+    _, dag, theta0 = case
+    y = theta0 + np.random.default_rng(dag.n_vertices).standard_normal(dag.n_vertices)
+    ours = lse_fit(dag, y, solver="partition")
+    ref = lse_fit(dag, y, solver="dykstra", tol=1e-11)
+    assert ours.max_violation <= 0.0
+    assert np.max(np.abs(ours.theta_hat - ref.theta_hat)) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -52, 1e-300, 1e-20, 1e6, 1e300, 5e307])
+def test_partition_is_scale_free(scale):
+    rng = np.random.default_rng(4)
+    dag = build_lattice(LatticeSpec((5, 5)))
+    y = rng.standard_normal(25)
+    w = rng.uniform(0.5, 2.0, 25)
+    base = project_partition(IsotonicProblem(dag, y, w)).theta_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = project_partition(IsotonicProblem(dag, scale * y, w)).theta_hat
+    assert np.max(np.abs(scaled - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("kind", ["constant", "isotonic"])
+def test_partition_returns_isotonic_data_in_one_level(kind):
+    dag = build_lattice(LatticeSpec((3, 4)))
+    y = np.full(12, 0.1) if kind == "constant" else 0.1 * dag.labels.sum(axis=1)
+    res = lse_fit(dag, y)
+    assert res.iterations == 1
+    assert np.array_equal(res.theta_hat, y)
+
+
+def test_partition_resplits_by_lp_when_quantized_cut_disagrees(monkeypatch):
+    # Chain a -> b -> c with c below d1 and d2.  The gains of c, d1, d2 sit
+    # near the quantization step (2**-30 of the positive gains): c rounds up
+    # to one unit, d1 and d2 round to zero, so the integer cut takes
+    # {c, d1, d2}, whose floating-point gain is negative.  No upper set has
+    # a positive gain, so the exact fit is the constant mean.
+    u = 2.0 ** -30
+    dag = Dag.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    y = np.array([0.5, -0.5 + 0.2 * u, 0.6 * u, -0.4 * u, -0.4 * u])
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return closure_lp(*args)
+
+    closure_lp = solvers._closure_lp
+    monkeypatch.setattr(solvers, "_closure_lp", spy)
+    res = lse_fit(dag, y)
+    assert len(calls) == 1
+    oracle = minmax_project_oracle(IsotonicProblem(dag, y))
+    assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
+    assert np.ptp(res.theta_hat) == 0.0
+
+
+def test_partition_quantizes_each_block_on_its_own_scale():
+    # Two disjoint 3x3 lattices, the second holding noise 1e-12 times the
+    # first's.  The first level splits them apart; quantizing both blocks
+    # on one scale would then round every gain of the small block to zero.
+    rng = np.random.default_rng(6)
+    part = build_lattice(LatticeSpec((3, 3)))
+    dag = Dag(18, np.vstack([part.cover_edges, part.cover_edges + 9]))
+    small = 1e-12 * rng.standard_normal(9)
+    ours = lse_fit(dag, np.r_[10.0 + rng.standard_normal(9), small]).theta_hat
+    alone = lse_fit(part, small).theta_hat
+    assert np.ptp(alone) > 0.0
+    assert np.max(np.abs(ours[9:] - alone)) <= 1e-12 * np.max(np.abs(small))
+
+
+def test_partition_pools_blocks_left_an_ulp_out_of_order():
+    # The final blocks {1, 2} and {3..8} both have exact mean 0.45, but
+    # their floating-point means come out as 0.45 and 0.4499999999999999,
+    # out of order across the cover edges 1 -> 4 and 2 -> 5.
+    dag = build_lattice(LatticeSpec((3, 3)))
+    y = np.array([0.1, 0.8, 0.1, 1.4, 1.5, 0.3, 0.0, -0.8, 0.3])
+    res = lse_fit(dag, y)
+    assert res.max_violation <= 0.0
+    oracle = minmax_project_oracle(IsotonicProblem(dag, y))
+    assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_closure_lp_finds_a_maximum_weight_upper_set():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        dag = random_dag(rng, n)
+        g = rng.standard_normal(n)
+        eu, ev = dag.cover_edges[:, 0], dag.cover_edges[:, 1]
+        if eu.size == 0:
+            continue
+        best = max(sum(g[i] for i in range(n) if mask >> i & 1)
+                   for mask in upper_set_masks(dag))
+        picked = solvers._closure_lp(g, eu, ev)
+        assert all(picked[v] for u, v in zip(eu, ev) if picked[u])
+        assert abs(g[picked].sum() - best) <= 1e-12
+
+
+def test_cli_accepts_partition_solver(capsys):
+    assert main(["fit", "--n1", "4", "--d", "2", "--solver", "partition"]) == 0
+    assert "solver=partition" in capsys.readouterr().out
