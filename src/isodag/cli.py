@@ -14,8 +14,7 @@ Subcommands::
 Every subcommand accepts ``--config FILE`` with flat ``key = value`` lines
 (keys are flag names with ``-`` or ``_``); explicit command-line flags win.
 Exit codes: 0 success, 2 validation error, 3 solver convergence or
-certificate failure, including sweeps in which some replicate failed (the
-report is still written, and stderr names the count).
+certificate failure.
 """
 
 from __future__ import annotations
@@ -168,8 +167,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str):
         "mc_samples": (("--mc-samples",), {"type": int, "default": 0,
                                            "help": "population-risk MC points (random sweeps)"}),
         "solver": (("--solver",), {"type": str, "default": "auto",
-                                   "choices": ["auto", "partition", "dykstra", "pava",
-                                               "oracle"]}),
+                                   "choices": ["auto", "dykstra", "pava", "oracle"]}),
         "tol": (("--tol",), {"type": float, "default": 1e-8,
                              "help": "Dykstra stopping tolerance; the other solvers are exact"}),
         "out": (("--out",), {"type": str, "default": None, "help": "output file path"}),
@@ -345,12 +343,6 @@ def _cmd_sweep(args, design: str) -> int:
     if report.rows and report.rows[0].slope_fit is not None:
         print(f"fitted log-log slope: {report.rows[0].slope_fit!r}")
     print(f"wrote {args.out}")
-    failed = report.notes.get("failed_replicates", {})
-    if failed:
-        counts = ", ".join(f"n={n}: {c}" for n, c in failed.items())
-        print(f"solver did not converge in {sum(failed.values())} replicates ({counts}); "
-              f"their risks are nan", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -25,7 +25,7 @@ from .complexity import BoundParams, bound_eval, harmonic_sum, noise_stream, sta
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
 from .orders import Dag, LatticeSpec, build_design_dag, build_lattice
 from .signals import SignalSpec, generate_signal
-from .solvers import ConvergenceError, lse_fit
+from .solvers import lse_fit
 
 try:
     _VERSION = importlib.metadata.version("isodag")
@@ -129,27 +129,6 @@ class RiskReport:
     notes: dict = field(default_factory=dict, compare=False)
 
 
-def _fill_replicates(qs: np.ndarray, worker: Callable[[int], float]) -> int:
-    """Run ``worker(r)`` for every replicate index in order, writing
-    ``qs[r]``.  A replicate whose solver did not converge records ``nan``;
-    returns how many did so."""
-    failed = 0
-    for r in range(qs.size):
-        try:
-            qs[r] = worker(r)
-        except ConvergenceError:
-            qs[r] = math.nan
-            failed += 1
-    return failed
-
-
-def _failure_notes(failed: dict[str, int]) -> dict:
-    """``{"failed_replicates": {n: count}}`` over the sizes with failures;
-    empty when none failed, so clean reports keep their bytes."""
-    nonzero = {n: c for n, c in failed.items() if c}
-    return {"failed_replicates": nonzero} if nonzero else {}
-
-
 def _aggregate_rows(config: ExperimentConfig, per_n: list[tuple[int, np.ndarray, float | None]],
                     bound_name: str) -> list[RiskRow]:
     """Turn per-size replicate arrays into rows, fitting a common log-log
@@ -200,16 +179,14 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
     ``n_grid=(64, 729)``.  Keying by ``n`` would change every sweep's bytes.
 
     A replicate whose solver does not converge (reachable only with
-    ``solver="dykstra"``) records ``nan``, and the per-size count of such
-    replicates lands in ``report.notes["failed_replicates"]``, keyed by
-    ``str(n)`` and present only when some replicate failed.
+    ``solver="dykstra"``) raises its :class:`ConvergenceError` out of the
+    sweep.
     """
     if config.design != "lattice":
         raise ValueError("run_fixed_sweep requires a lattice design")
     if config.signal is not None and not isinstance(config.signal, SignalSpec):
         raise ValueError("lattice sweeps take a SignalSpec (or None) signal")
     per_n = []
-    failed = {}
     for j, n in enumerate(config.n_grid):
         n1 = lattice_side(n, config.d)
         spec = LatticeSpec((n1,) * config.d)
@@ -229,12 +206,10 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
             diff = res.theta_hat - theta0
             return float(np.dot(w * diff, diff))
 
-        qs = np.empty(config.replicates)
-        failed[str(n)] = _fill_replicates(qs, worker)
+        qs = np.array([worker(r) for r in range(config.replicates)])
         per_n.append((n, qs, is_zero))
     return RiskReport(config=config.to_dict(),
-                      rows=_aggregate_rows(config, per_n, "worst_fixed"),
-                      notes=_failure_notes(failed))
+                      rows=_aggregate_rows(config, per_n, "worst_fixed"))
 
 
 def _dedup_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,8 +242,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     (``mc_points`` fresh draws on stream ``10**9 + j*replicates + r``, far
     above any design/noise stream).  Per-size means and standard errors of
     those integrals land in ``report.notes["l2p"]``, keyed by ``str(n)``;
-    the CSV schema is unchanged.  Streams and failed replicates are keyed
-    and counted as in :func:`run_fixed_sweep`.
+    the CSV schema is unchanged.  Streams are keyed, and a
+    non-converging replicate raises, as in :func:`run_fixed_sweep`.
     """
     if config.design != "random":
         raise ValueError("run_random_sweep requires a random design")
@@ -281,7 +256,6 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     truth = f0 if f0 is not None else (lambda pts: np.zeros(len(pts)))
     per_n = []
     l2p_notes = {}
-    failed = {}
     for j, n in enumerate(config.n_grid):
         base = j * config.replicates
         l2ps = np.full(config.replicates, math.nan) if config.mc_points else None
@@ -304,8 +278,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             diff = res.theta_hat - fvals[firsts]
             return float(np.dot(w * diff, diff))
 
-        qs = np.empty(config.replicates)
-        failed[str(n)] = _fill_replicates(qs, worker)
+        qs = np.array([worker(r) for r in range(config.replicates)])
         per_n.append((n, qs, None))
         if l2ps is not None:
             l2p_notes[str(n)] = {
@@ -313,7 +286,6 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
                 "stderr": float(np.std(l2ps, ddof=1) / math.sqrt(l2ps.size)),
                 "mc_points": config.mc_points}
     notes = {"l2p": l2p_notes} if l2p_notes else {}
-    notes.update(_failure_notes(failed))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_random"),
                       notes=notes)

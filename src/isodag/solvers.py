@@ -8,9 +8,10 @@ respect to the partial order: ``theta_u <= theta_v`` for every cover edge
 Four routes to the same projection:
 
 * :func:`pava_chain` -- exact pooling for totally ordered data, O(n).
-* :func:`project_partition` -- exact recursive partitioning for general
-  DAGs: each block splits at its weighted mean along a maximum-weight upper
-  set, found for all blocks of a level by one integer maximum flow.
+* :func:`project_partition` -- recursive partitioning for general DAGs,
+  exact up to the int32 quantization of near-ties: each block splits at its
+  weighted mean along a maximum-weight upper set, found for all blocks of a
+  level by one integer maximum flow.
 * :func:`project_dykstra` -- cyclic Dykstra projections over the cover-edge
   halfspaces for general DAGs, with correction terms guaranteeing convergence
   to the exact projection; iterative, kept as an independent cross-check.
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import isotonic_regression, linprog, nnls
+from scipy.optimize import isotonic_regression, nnls
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
@@ -189,26 +190,6 @@ _QUANT_BITS = 30
 _UNCUTTABLE = 2**31 - 1
 
 
-def _closure_lp(g: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """Maximum-weight upper set of one block by linear programming.
-
-    Maximizes ``g @ x`` over ``0 <= x <= 1`` with ``x_u <= x_v`` on the
-    block's cover edges (local ids).  The constraint matrix is a network
-    matrix, so the simplex vertex returned is 0/1.  The gains are scaled to
-    unit binary magnitude and the solver runs at its tightest feasibility
-    tolerances, since it is only asked about near-ties.
-    """
-    m = eu.size
-    A = csr_matrix((np.r_[np.ones(m), -np.ones(m)], (np.r_[np.arange(m), np.arange(m)],
-                                                     np.r_[eu, ev])), shape=(m, g.size))
-    res = linprog(-g * _binary_unit(g), A_ub=A, b_ub=np.zeros(m), bounds=(0.0, 1.0),
-                  method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
-                                              "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise RuntimeError(f"closure LP failed: {res.message}")
-    return res.x > 0.5
-
-
 def _pool_violators(theta: np.ndarray, label: np.ndarray, w: np.ndarray,
                     ys: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """Merge blocks across violated cover edges until ``theta`` is isotonic.
@@ -255,18 +236,21 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     * the data is rescaled by an exact power of two, and each block's gains
       by its own power of two so that its positive gains sum to at most
       ``2**30`` before rounding to integers;
-    * a split happens only when the cut's gain, recomputed in floating
-      point, is positive; a block whose integer cut has positive gain but
-      whose floating-point gain is not is re-split by a linear program
-      (:func:`_closure_lp`);
+    * a split happens only when the cut is a proper subset and its gain,
+      recomputed in floating point, is positive; any other cut leaves the
+      block final at its mean;
     * fitted values are block means (or the data) in floating point, and
       blocks that end up an ulp out of order across a cover edge are
       pooled, so the fit is always isotonic.
 
-    The quantization can hide a closure gain below about ``|B| * 2**-31``
-    of the block's positive gains; only near-ties that close come out
-    differently from the exact projection.  ``iterations`` counts levels:
-    one for isotonic or constant data.
+    The fit is exact up to the int32 quantization of near-ties.  Rounding
+    moves any upper set's integer gain by at most ``|B| / 2`` steps of
+    ``2**-30`` of the block's positive gains, so two things can differ from
+    the exact projection, both only when closure gains are that close: a
+    positive closure gain below about ``|B|`` steps can be missed, leaving
+    the block at its mean, and a cut with positive gain that falls short of
+    the maximum by less than that can be taken.  ``iterations`` counts
+    levels: one for isotonic or constant data.
     """
     w = problem.weights
     n = problem.dag.n_vertices
@@ -311,14 +295,6 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
         size = np.bincount(label, minlength=k)
         usize = np.bincount(label[upper], minlength=k)
         gain = np.bincount(label[upper], g[upper], k)
-        for b in np.flatnonzero((usize > 0) & (usize < size) & (gain <= 0.0)):
-            members = np.flatnonzero(label == b)
-            local = ie & (label[eu] == b)
-            sub = _closure_lp(g[members], np.searchsorted(members, eu[local]),
-                              np.searchsorted(members, ev[local]))
-            upper[members] = sub
-            usize[b] = sub.sum()
-            gain[b] = g[members][sub].sum()
         split = (usize > 0) & (usize < size) & (gain > 0.0)
         fresh = k + np.cumsum(split) - 1
         label = np.where(upper & split[label], fresh[label], label)
@@ -613,7 +589,7 @@ def lse_fit(dag: Dag, y, weights=None, solver: str = "auto", tol: float = DEFAUL
     """Weighted least-squares isotonic fit on a DAG.
 
     ``solver`` is one of ``"auto"`` (PAVA when the order is a chain,
-    partitioning otherwise), ``"pava"`` (chains only), ``"partition"``,
+    :func:`project_partition` otherwise), ``"pava"`` (chains only),
     ``"dykstra"``, or ``"oracle"`` (min-max enumeration, small n only).
     ``tol`` and ``max_sweeps`` apply to Dykstra alone; the other routes are
     exact and take no tolerance.  With ``certify=True`` the result
@@ -621,21 +597,18 @@ def lse_fit(dag: Dag, y, weights=None, solver: str = "auto", tol: float = DEFAUL
     :class:`CertificateError`.
     """
     problem = IsotonicProblem(dag, y, weights)
-    choice = solver
-    if choice == "auto":
-        choice = "pava" if is_chain(dag) else "partition"
-    if choice == "pava":
+    if solver == "auto" and not is_chain(dag):
+        result = project_partition(problem)
+    elif solver in ("auto", "pava"):
         if not is_chain(dag):
             raise ValueError("pava solver requires a chain order")
         order = dag.topo_order
         theta = np.empty_like(problem.y)
         theta[order] = pava_chain(problem.y[order], problem.weights[order])
         result = _result_from_theta(problem, theta, iterations=1)
-    elif choice == "partition":
-        result = project_partition(problem)
-    elif choice == "dykstra":
+    elif solver == "dykstra":
         result = project_dykstra(problem, tol=tol, max_sweeps=max_sweeps)
-    elif choice == "oracle":
+    elif solver == "oracle":
         theta = minmax_project_oracle(problem)
         result = _result_from_theta(problem, theta, iterations=1)
     else:

@@ -232,24 +232,3 @@ def test_config_file_missing_exits_2(tmp_path):
     assert main(["statdim", "--n1", "3",
                  "--config", str(tmp_path / "absent.cfg")]) == 2
 
-
-def test_sweep_with_failed_replicates_exits_3(tmp_path, capsys, monkeypatch):
-    from isodag import experiments
-    from isodag.solvers import ConvergenceError
-
-    real = experiments.lse_fit
-    calls = []
-
-    def fail_first(dag, y, **kw):
-        calls.append(None)
-        if len(calls) == 1:
-            raise ConvergenceError("forced", None)
-        return real(dag, y, **kw)
-
-    monkeypatch.setattr(experiments, "lse_fit", fail_first)
-    out = tmp_path / "sweep.json"
-    code = main(["sweep-fixed", "--d", "2", "--n-grid", "4,16", "--reps", "3",
-                 "--format", "json", "--out", str(out)])
-    assert code == 3
-    assert "did not converge in 1 replicates (n=4: 1)" in capsys.readouterr().err
-    assert json.load(open(out))["notes"] == {"failed_replicates": {"4": 1}}

@@ -301,32 +301,15 @@ def test_table1_chain_column_matches_harmonic():
         assert abs(row.statdim_mean - row.reference) <= 4 * row.statdim_stderr
 
 
-def _fail_every_third_fit(monkeypatch):
-    """Make every third solve raise ConvergenceError, counting from the first."""
-    import itertools
-
+def test_non_converging_replicate_stops_the_sweep(monkeypatch):
     from isodag import experiments
     from isodag.solvers import ConvergenceError
 
-    real = experiments.lse_fit
-    calls = itertools.count()
+    def fail(dag, y, **kw):
+        raise ConvergenceError("forced", None)
 
-    def flaky(dag, y, **kw):
-        if next(calls) % 3 == 0:
-            raise ConvergenceError("forced", None)
-        return real(dag, y, **kw)
-
-    monkeypatch.setattr(experiments, "lse_fit", flaky)
-
-
-def test_failed_replicates_are_counted_in_notes(monkeypatch):
-    clean = run_fixed_sweep(_cfg(n_grid=(4, 9), replicates=3))
-    assert clean.notes == {}
-    _fail_every_third_fit(monkeypatch)
-    fixed = run_fixed_sweep(_cfg(n_grid=(4, 9), replicates=3))
-    assert fixed.notes == {"failed_replicates": {"4": 1, "9": 1}}
-    assert all(math.isnan(r.risk_mean) for r in fixed.rows)
-    monkeypatch.undo()
-    _fail_every_third_fit(monkeypatch)
-    rand = run_random_sweep(_cfg(design="random", n_grid=(10, 20), replicates=4))
-    assert rand.notes == {"failed_replicates": {"10": 2, "20": 1}}
+    monkeypatch.setattr(experiments, "lse_fit", fail)
+    with pytest.raises(ConvergenceError):
+        run_fixed_sweep(_cfg(n_grid=(4, 9), replicates=3))
+    with pytest.raises(ConvergenceError):
+        run_random_sweep(_cfg(design="random", n_grid=(10, 20), replicates=4))

@@ -9,11 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isodag import solvers
-from isodag.cli import main
 from isodag.design import DesignSampler, draw_design
-from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice, is_isotonic,
-                           upper_set_masks)
+from isodag.orders import Dag, LatticeSpec, build_design_dag, build_lattice, is_isotonic
 from isodag.signals import SignalSpec, generate_signal
 from isodag.solvers import (
     CertificateError,
@@ -317,17 +314,17 @@ def _criterion_01_family():
 
 def test_partition_matches_oracle_on_criterion_01_family():
     for dag, y in _criterion_01_family():
-        ours = lse_fit(dag, y, solver="partition").theta_hat
+        ours = project_partition(IsotonicProblem(dag, y)).theta_hat
         oracle = lse_fit(dag, y, solver="oracle").theta_hat
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(y))
 
 
 def _tight_dykstra_cases():
-    for sides in ((16, 16), (8, 8, 8)):
+    for sides in ((16, 16), (64, 64), (8, 8, 8), (16, 16, 16)):
         spec = LatticeSpec(sides)
-        yield f"{spec.n} zero", build_lattice(spec), np.zeros(spec.n)
+        yield "x".join(map(str, sides)) + " zero", build_lattice(spec), np.zeros(spec.n)
     spec = LatticeSpec((8, 8, 8))
-    yield "512 linear", build_lattice(spec), generate_signal(SignalSpec.linear_mean(), spec)
+    yield "8x8x8 linear", build_lattice(spec), generate_signal(SignalSpec.linear_mean(), spec)
     X = draw_design(np.random.default_rng(11), DesignSampler.uniform(2), 500)
     yield "random d=2 n=500", build_design_dag(X), np.zeros(500)
 
@@ -336,7 +333,7 @@ def _tight_dykstra_cases():
 def test_partition_matches_tight_dykstra(case):
     _, dag, theta0 = case
     y = theta0 + np.random.default_rng(dag.n_vertices).standard_normal(dag.n_vertices)
-    ours = lse_fit(dag, y, solver="partition")
+    ours = project_partition(IsotonicProblem(dag, y))
     ref = lse_fit(dag, y, solver="dykstra", tol=1e-11)
     assert ours.max_violation <= 0.0
     assert np.max(np.abs(ours.theta_hat - ref.theta_hat)) <= 1e-9
@@ -364,30 +361,6 @@ def test_partition_returns_isotonic_data_in_one_level(kind):
     assert np.array_equal(res.theta_hat, y)
 
 
-def test_partition_resplits_by_lp_when_quantized_cut_disagrees(monkeypatch):
-    # Chain a -> b -> c with c below d1 and d2.  The gains of c, d1, d2 sit
-    # near the quantization step (2**-30 of the positive gains): c rounds up
-    # to one unit, d1 and d2 round to zero, so the integer cut takes
-    # {c, d1, d2}, whose floating-point gain is negative.  No upper set has
-    # a positive gain, so the exact fit is the constant mean.
-    u = 2.0 ** -30
-    dag = Dag.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    y = np.array([0.5, -0.5 + 0.2 * u, 0.6 * u, -0.4 * u, -0.4 * u])
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return closure_lp(*args)
-
-    closure_lp = solvers._closure_lp
-    monkeypatch.setattr(solvers, "_closure_lp", spy)
-    res = lse_fit(dag, y)
-    assert len(calls) == 1
-    oracle = minmax_project_oracle(IsotonicProblem(dag, y))
-    assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
-    assert np.ptp(res.theta_hat) == 0.0
-
-
 def test_partition_quantizes_each_block_on_its_own_scale():
     # Two disjoint 3x3 lattices, the second holding noise 1e-12 times the
     # first's.  The first level splits them apart; quantizing both blocks
@@ -412,24 +385,3 @@ def test_partition_pools_blocks_left_an_ulp_out_of_order():
     assert res.max_violation <= 0.0
     oracle = minmax_project_oracle(IsotonicProblem(dag, y))
     assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
-
-
-def test_closure_lp_finds_a_maximum_weight_upper_set():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        dag = random_dag(rng, n)
-        g = rng.standard_normal(n)
-        eu, ev = dag.cover_edges[:, 0], dag.cover_edges[:, 1]
-        if eu.size == 0:
-            continue
-        best = max(sum(g[i] for i in range(n) if mask >> i & 1)
-                   for mask in upper_set_masks(dag))
-        picked = solvers._closure_lp(g, eu, ev)
-        assert all(picked[v] for u, v in zip(eu, ev) if picked[u])
-        assert abs(g[picked].sum() - best) <= 1e-12
-
-
-def test_cli_accepts_partition_solver(capsys):
-    assert main(["fit", "--n1", "4", "--d", "2", "--solver", "partition"]) == 0
-    assert "solver=partition" in capsys.readouterr().out
