@@ -13,8 +13,9 @@ Subcommands::
 
 Every subcommand accepts ``--config FILE`` with flat ``key = value`` lines
 (keys are flag names with ``-`` or ``_``); explicit command-line flags win.
-Exit codes: 0 success, 2 validation error, 3 solver convergence or
-certificate failure.
+Every fit is the exact projection ``lse_fit(dag, y)``: the choice of solver
+is made in :mod:`isodag.solvers`, and no flag selects one.  Exit codes:
+0 success, 2 validation error, 3 certificate failure (``fit``).
 """
 
 from __future__ import annotations
@@ -29,23 +30,23 @@ import numpy as np
 from .complexity import (BoundParams, bound_eval, gaussian_width_mc, harmonic_sum,
                          noise_stream, statdim_mc)
 from .design import DesignSampler, antichain_stats
-from .experiments import (ExperimentConfig, _VERSION, _dedup_index, emit_report,
-                          fit_rate_exponent, lattice_side, read_report,
-                          run_fixed_sweep, run_random_sweep, table1)
+from .experiments import (ExperimentConfig, _VERSION, emit_report, fit_rate_exponent,
+                          lattice_side, read_report, run_fixed_sweep,
+                          run_random_sweep, table1)
 from .orders import (LatticeSpec, SizeCapError, build_design_dag, build_lattice,
                      lattice_vertices, level_cardinalities, level_antichain_report,
-                     longest_chain, maximum_antichain)
+                     longest_chain, maximum_antichain, merge_duplicates)
 from .signals import (AssouadSpec, SignalSpec, assouad_fixed, generate_signal,
                       random_staircase_spec)
-from .solvers import (CertificateError, ConvergenceError, IsotonicProblem, lse_fit,
+from .solvers import (CertificateError, IsotonicProblem, lse_fit,
                       verify_projection_certificate)
 
 CERTIFY_VERTEX_CAP = 2000
 
 _CONVERTERS = {
     "d": int, "n1": int, "reps": int, "seed": int, "threads": int, "k": int,
-    "mc_samples": int, "rho": float, "tol": float, "n_grid": str, "signal": str,
-    "solver": str, "out": str, "format": str, "data": str, "experiment": str,
+    "mc_samples": int, "rho": float, "n_grid": str, "signal": str,
+    "out": str, "format": str, "data": str, "experiment": str,
 }
 
 
@@ -166,10 +167,6 @@ def _add_common(sub: argparse.ArgumentParser, *names: str):
                                "help": "Monte Carlo replicates"}),
         "mc_samples": (("--mc-samples",), {"type": int, "default": 0,
                                            "help": "population-risk MC points (random sweeps)"}),
-        "solver": (("--solver",), {"type": str, "default": "auto",
-                                   "choices": ["auto", "dykstra", "pava", "oracle"]}),
-        "tol": (("--tol",), {"type": float, "default": 1e-8,
-                             "help": "Dykstra stopping tolerance; the other solvers are exact"}),
         "out": (("--out",), {"type": str, "default": None, "help": "output file path"}),
         "format": (("--format",), {"type": str, "default": "csv",
                                    "choices": ["csv", "json"]}),
@@ -195,26 +192,25 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("fit", help="fit one dataset and emit fitted values")
-    _add_common(p, "data", "d", "n1", "signal", "k", "rho", "seed", "solver",
-                "tol", "out", "format")
+    _add_common(p, "data", "d", "n1", "signal", "k", "rho", "seed", "out", "format")
 
     for name in ("statdim", "width"):
         p = subs.add_parser(name, help=f"Monte Carlo {name} of a lattice cone")
-        _add_common(p, "d", "n1", "reps", "seed", "solver", "tol", "out")
+        _add_common(p, "d", "n1", "reps", "seed", "out")
 
     p = subs.add_parser("sweep-fixed", help="risk sweep over lattice sizes")
-    _add_common(p, "d", "n_grid", "signal", "k", "rho", "seed", "reps", "solver",
-                "tol", "threads", "out", "format", "experiment")
+    _add_common(p, "d", "n_grid", "signal", "k", "rho", "seed", "reps", "threads",
+                "out", "format", "experiment")
 
     p = subs.add_parser("sweep-random", help="risk sweep over random designs")
     _add_common(p, "d", "n_grid", "signal", "seed", "reps", "mc_samples",
-                "solver", "tol", "threads", "out", "format", "experiment")
+                "threads", "out", "format", "experiment")
 
     p = subs.add_parser("antichain", help="antichain structure of a design")
     _add_common(p, "d", "n1", "n_grid", "reps", "seed")
 
     p = subs.add_parser("table1", help="statistical-dimension summary table")
-    _add_common(p, "reps", "seed", "solver", "tol", "out")
+    _add_common(p, "reps", "seed", "out")
 
     p = subs.add_parser("rate-fit", help="fit a rate exponent from a risk report")
     p.add_argument("path", type=str, help="risk report (.csv or .json)")
@@ -238,10 +234,9 @@ def _cmd_fit(args) -> int:
         points, y = arr[:, 1:-1], arr[:, -1]
         if points.shape[1] != args.d:
             raise ValueError(f"--d {args.d} but file has {points.shape[1]} coordinates")
-        idx, _ = _dedup_index(points)
         dag = build_design_dag(points)
-        w = dag.weights()
-        ybar = np.bincount(idx, weights=y) / w
+        _, idx = merge_duplicates(points)
+        ybar = np.bincount(idx, weights=y) / dag.weights()
         coords = points
     else:
         if args.n1 is None:
@@ -253,8 +248,8 @@ def _cmd_fit(args) -> int:
         y = theta0 + noise_stream(args.seed, 0).standard_normal(spec.n)
         ybar, idx = y, np.arange(spec.n)
         coords = lattice_vertices(spec).astype(float)
-    res = lse_fit(dag, ybar, solver=args.solver, tol=args.tol)
-    line = (f"fit: n={len(idx)} vertices={dag.n_vertices} solver={args.solver} "
+    res = lse_fit(dag, ybar)
+    line = (f"fit: n={len(idx)} vertices={dag.n_vertices} "
             f"iterations={res.iterations} max_violation={res.max_violation:.3e}")
     if dag.n_vertices <= CERTIFY_VERTEX_CAP:
         cert = verify_projection_certificate(IsotonicProblem(dag, ybar), res.theta_hat)
@@ -292,7 +287,7 @@ def _cmd_moment(args, which: str) -> int:
     spec = LatticeSpec((args.n1,) * args.d)
     dag = build_lattice(spec)
     fn = statdim_mc if which == "statdim" else gaussian_width_mc
-    est = fn(dag, args.reps, args.seed, solver=args.solver, tol=args.tol)
+    est = fn(dag, args.reps, args.seed)
     bound = _statdim_bound_c1(args.d, spec.n)
     if which == "width":
         bound = math.sqrt(bound)
@@ -322,15 +317,14 @@ def _cmd_sweep(args, design: str) -> int:
         if args.signal == "staircase" and len(grid) != 1:
             raise ValueError("staircase signals need a single-entry --n-grid")
         config = ExperimentConfig(experiment=name, d=args.d, n_grid=grid,
-                                  signal=signal, design="lattice", solver=args.solver,
-                                  tol=args.tol, replicates=args.reps, seed=args.seed,
-                                  threads=args.threads, out_path=args.out)
+                                  signal=signal, design="lattice", replicates=args.reps,
+                                  seed=args.seed, threads=args.threads,
+                                  out_path=args.out)
         report = run_fixed_sweep(config)
     else:
         signal = _random_signal(args.signal)
         config = ExperimentConfig(experiment=name, d=args.d, n_grid=grid,
-                                  signal=signal, design="random", solver=args.solver,
-                                  tol=args.tol, replicates=args.reps,
+                                  signal=signal, design="random", replicates=args.reps,
                                   mc_points=args.mc_samples, seed=args.seed,
                                   threads=args.threads, out_path=args.out)
         report = run_random_sweep(config)
@@ -368,8 +362,7 @@ def _cmd_antichain(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows, slope = table1(replicates=args.reps, seed=args.seed, solver=args.solver,
-                         tol=args.tol)
+    rows, slope = table1(replicates=args.reps, seed=args.seed)
     print(f"{'d':>2} {'n':>6} {'statdim':>12} {'stderr':>10} {'reference':>10}")
     for r in rows:
         ref = f"{r.reference:.4f}" if r.reference is not None else "-"
@@ -425,9 +418,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
         return 3
 
 

@@ -3,7 +3,7 @@
 The statistical dimension of the monotone cone ``M(G)`` is
 ``E |Pi_M(eps)|^2`` for a standard Gaussian ``eps``; the Gaussian width of
 ``M(G) cap B_2(1)`` is estimated by ``E |Pi_M(eps)|``.  Both are measured
-here by seeded Monte Carlo around the projection solvers.
+here by seeded Monte Carlo around the exact projection :func:`lse_fit`.
 
 Reproducibility scheme: replicate ``r`` of an experiment draws its noise
 from ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_id + r,)))``, so
@@ -67,8 +67,8 @@ def mc_aggregate(values, seed: int, stream_id: int) -> MonteCarloEstimate:
                               seed=int(seed), stream_id=int(stream_id))
 
 
-def _projection_norms(dag: Dag, replicates: int, seed: int, stream_id: int,
-                      solver: str, tol: float) -> np.ndarray:
+def _projection_norms(dag: Dag, replicates: int, seed: int,
+                      stream_id: int) -> np.ndarray:
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     n = dag.n_vertices
@@ -76,27 +76,27 @@ def _projection_norms(dag: Dag, replicates: int, seed: int, stream_id: int,
     out = np.empty(replicates)
     for r in range(replicates):
         eps = noise_stream(seed, stream_id + r).standard_normal(n)
-        theta = lse_fit(dag, eps, solver=solver, tol=tol).theta_hat
+        theta = lse_fit(dag, eps).theta_hat
         out[r] = np.dot(w * theta, theta)
     return out
 
 
-def statdim_mc(dag: Dag, replicates: int, seed: int, stream_id: int = 0,
-               solver: str = "auto", tol: float = 1e-8) -> MonteCarloEstimate:
+def statdim_mc(dag: Dag, replicates: int, seed: int,
+               stream_id: int = 0) -> MonteCarloEstimate:
     """MC estimate of the statistical dimension ``E |Pi_M(eps)|^2``.
 
     The squared norm uses the same (weighted) inner product the projection
     minimizes; on unweighted dags that is the usual Euclidean one.
     """
-    sq = _projection_norms(dag, replicates, seed, stream_id, solver, tol)
+    sq = _projection_norms(dag, replicates, seed, stream_id)
     return mc_aggregate(sq, seed, stream_id)
 
 
-def gaussian_width_mc(dag: Dag, replicates: int, seed: int, stream_id: int = 0,
-                      solver: str = "auto", tol: float = 1e-8) -> MonteCarloEstimate:
+def gaussian_width_mc(dag: Dag, replicates: int, seed: int,
+                      stream_id: int = 0) -> MonteCarloEstimate:
     """MC estimate of ``E |Pi_M(eps)|``, the Gaussian width of the cone's
     unit-ball section (up to the usual +-1 additive slack)."""
-    sq = _projection_norms(dag, replicates, seed, stream_id, solver, tol)
+    sq = _projection_norms(dag, replicates, seed, stream_id)
     return mc_aggregate(np.sqrt(sq), seed, stream_id)
 
 

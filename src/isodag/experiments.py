@@ -2,12 +2,14 @@
 
 A sweep runs the least-squares isotonic fit over a grid of sample sizes,
 replicating each size across independent noise streams, and reports mean
-empirical risk with its Monte Carlo standard error.  Reports serialize to
-CSV (fixed column order) or JSON (with a config echo); identical configs
-produce byte-identical files because every replicate owns a dedicated stream
-and replicates run, and aggregate, in ascending stream order.  The
-``threads`` setting is accepted and echoed but changes nothing: the solves
-are Python-bound, so a thread pool only contended for the interpreter lock.
+empirical risk with its Monte Carlo standard error.  Every fit is the exact
+projection ``lse_fit(dag, y)``; which solver computes it is decided in
+:mod:`isodag.solvers` alone.  Reports serialize to CSV (fixed column order)
+or JSON (with a config echo); identical configs produce byte-identical
+files because every replicate owns a dedicated stream and replicates run,
+and aggregate, in ascending stream order.  The ``threads`` setting is
+accepted and echoed but changes nothing: the solves are Python-bound, so a
+thread pool only contended for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .complexity import BoundParams, bound_eval, harmonic_sum, noise_stream, statdim_mc
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
-from .orders import Dag, LatticeSpec, build_design_dag, build_lattice
+from .orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
+                     merge_duplicates)
 from .signals import SignalSpec, generate_signal
 from .solvers import lse_fit
 
@@ -51,8 +54,6 @@ class ExperimentConfig:
     signal: SignalSpec | Callable | None = None
     design: str = "lattice"
     sampler: DesignSampler | None = None
-    solver: str = "auto"
-    tol: float = 1e-8
     replicates: int = 200
     mc_points: int = 0
     seed: int = 0
@@ -74,8 +75,6 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 2 for stderr output")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
         if self.mc_points < 0 or self.mc_points == 1:
             raise ValueError("mc_points must be 0 (no population risk) or >= 2")
 
@@ -95,10 +94,9 @@ class ExperimentConfig:
                     "m0": self.sampler.m0, "M0": self.sampler.M0}
         return {"experiment": self.experiment, "d": self.d,
                 "n_grid": list(self.n_grid), "signal": sig, "design": self.design,
-                "sampler": samp, "solver": self.solver, "tol": self.tol,
-                "replicates": self.replicates, "mc_points": self.mc_points,
-                "seed": self.seed, "threads": self.threads,
-                "out_path": self.out_path}
+                "sampler": samp, "replicates": self.replicates,
+                "mc_points": self.mc_points, "seed": self.seed,
+                "threads": self.threads, "out_path": self.out_path}
 
 
 @dataclass(frozen=True)
@@ -177,10 +175,6 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
     size's row depends on the sizes before it: the same ``(seed, n,
     replicates)`` cell draws different noise in ``n_grid=(729,)`` and in
     ``n_grid=(64, 729)``.  Keying by ``n`` would change every sweep's bytes.
-
-    A replicate whose solver does not converge (reachable only with
-    ``solver="dykstra"``) raises its :class:`ConvergenceError` out of the
-    sweep.
     """
     if config.design != "lattice":
         raise ValueError("run_fixed_sweep requires a lattice design")
@@ -202,7 +196,7 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
         def worker(r: int, dag: Dag = dag, w=w, theta0=theta0, n=n, base=base) -> float:
             eps = noise_stream(config.seed, base + r).standard_normal(n)
             y = theta0 + eps
-            res = lse_fit(dag, y, solver=config.solver, tol=config.tol)
+            res = lse_fit(dag, y)
             diff = res.theta_hat - theta0
             return float(np.dot(w * diff, diff))
 
@@ -210,20 +204,6 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
         per_n.append((n, qs, is_zero))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_fixed"))
-
-
-def _dedup_index(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex index of each row plus first-occurrence row of each vertex,
-    matching the exact-equality merge convention of ``build_design_dag``."""
-    seen: dict[tuple, int] = {}
-    idx = np.empty(points.shape[0], dtype=np.int64)
-    firsts = []
-    for i, row in enumerate(map(tuple, points.tolist())):
-        if row not in seen:
-            seen[row] = len(firsts)
-            firsts.append(i)
-        idx[i] = seen[row]
-    return idx, np.asarray(firsts, dtype=np.int64)
 
 
 _L2P_STREAM_OFFSET = 1_000_000_000
@@ -242,8 +222,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     (``mc_points`` fresh draws on stream ``10**9 + j*replicates + r``, far
     above any design/noise stream).  Per-size means and standard errors of
     those integrals land in ``report.notes["l2p"]``, keyed by ``str(n)``;
-    the CSV schema is unchanged.  Streams are keyed, and a
-    non-converging replicate raises, as in :func:`run_fixed_sweep`.
+    the CSV schema is unchanged.  Streams are keyed as in
+    :func:`run_fixed_sweep`.
     """
     if config.design != "random":
         raise ValueError("run_random_sweep requires a random design")
@@ -265,11 +245,11 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             X = draw_design(rng, sampler, n)
             fvals = np.zeros(n) if f0 is None else np.asarray(f0(X), dtype=float)
             y = fvals + rng.standard_normal(n)
-            idx, firsts = _dedup_index(X)
             dag = build_design_dag(X)
+            firsts, inverse = merge_duplicates(X)
             w = dag.weights()
-            ybar = np.bincount(idx, weights=y) / w
-            res = lse_fit(dag, ybar, solver=config.solver, tol=config.tol)
+            ybar = np.bincount(inverse, weights=y) / w
+            res = lse_fit(dag, ybar)
             if l2ps is not None:
                 fit = FittedFunction.from_fit(X[firsts], res.theta_hat)
                 l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points,
@@ -413,8 +393,7 @@ TABLE1_GRIDS: dict[int, tuple[int, ...]] = {
 }
 
 
-def table1(replicates: int = 500, seed: int = 0, solver: str = "auto",
-           tol: float = 1e-8, dims: tuple[int, ...] = (1, 2, 3),
+def table1(replicates: int = 500, seed: int = 0, dims: tuple[int, ...] = (1, 2, 3)
            ) -> tuple[list[Table1Row], tuple[float, float] | None]:
     """Statistical dimension of the monotone cone across dimensions.
 
@@ -429,8 +408,7 @@ def table1(replicates: int = 500, seed: int = 0, solver: str = "auto",
         for n in TABLE1_GRIDS[d]:
             n1 = lattice_side(n, d)
             dag = build_lattice(LatticeSpec((n1,) * d))
-            est = statdim_mc(dag, replicates, seed, stream_id=cell * replicates,
-                             solver=solver, tol=tol)
+            est = statdim_mc(dag, replicates, seed, stream_id=cell * replicates)
             ref = harmonic_sum(n) if d == 1 else None
             rows.append(Table1Row(d=d, n=n, statdim_mean=est.mean,
                                   statdim_stderr=est.stderr, reference=ref))

@@ -385,30 +385,40 @@ def build_lattice(spec: LatticeSpec, max_vertices: int = DEFAULT_MAX_VERTICES) -
     return Dag(n, cover, labels=lattice_vertices(spec), _skip_reduction_check=True)
 
 
+def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the equal rows of an ``(n, d)`` array of points.
+
+    Returns ``(firsts, inverse)``: the row of each distinct point's first
+    occurrence, in first-occurrence order, and for every row the position
+    of its point in ``firsts``, so ``points[firsts][inverse]`` equals
+    ``points`` and ``bincount(inverse)`` holds the multiplicities.  Rows
+    merge when they are equal as tuples of floats, so ``-0.0`` and ``0.0``
+    are one point.
+    """
+    seen: dict[tuple, int] = {}
+    inverse = np.empty(len(points), dtype=np.int64)
+    for i, row in enumerate(map(tuple, np.asarray(points).tolist())):
+        inverse[i] = seen.setdefault(row, len(seen))
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 def build_design_dag(points) -> Dag:
     """Partial order induced on points of ``[0, 1]^d`` by coordinatewise <=.
 
-    Exactly-equal points are merged into one vertex carrying a multiplicity
-    weight.  Vertices keep the first-occurrence order of the input.
+    Equal points are merged by :func:`merge_duplicates` into one vertex
+    carrying a multiplicity weight.  Vertices keep the first-occurrence
+    order of the input.  Non-finite coordinates are rejected.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty (n, d) array")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("points must lie in [0, 1]^d")
-    seen: dict[tuple, int] = {}
-    mult = []
-    keep = []
-    for i, row in enumerate(map(tuple, pts.tolist())):
-        if row in seen:
-            mult[seen[row]] += 1.0
-        else:
-            seen[row] = len(keep)
-            keep.append(i)
-            mult.append(1.0)
-    uniq = pts[keep]
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):   # also false for nan
+        raise ValueError("points must be finite and lie in [0, 1]^d")
+    firsts, inverse = merge_duplicates(pts)
+    mult = np.bincount(inverse)
+    uniq = pts[firsts]
     n = uniq.shape[0]
     # dominance is already transitive: closure == componentwise comparison
     le = np.ones((n, n), dtype=bool)
@@ -418,7 +428,7 @@ def build_design_dag(points) -> Dag:
     np.fill_diagonal(le, False)
     cover = _transitive_reduction(le)
     dag = Dag(n, cover, labels=uniq,
-              multiplicities=np.asarray(mult) if max(mult) > 1 else None,
+              multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
     dag.__dict__["_reach"] = le  # reuse the dominance matrix as the cached closure
     le.setflags(write=False)

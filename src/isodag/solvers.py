@@ -27,7 +27,7 @@ recovering nonnegative edge multipliers by nonnegative least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import isotonic_regression, nnls
@@ -95,7 +95,6 @@ class ProjectionResult:
     iterations: int
     max_violation: float
     inner_product_gap: float
-    certificate: "DualCertificate | None" = None
 
 
 @dataclass
@@ -433,7 +432,7 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
     unit = _binary_unit(y)
     ys = y * unit
     gap_tol = tol * float(np.dot(w * ys, ys))
-    max_violation = gap = change = 0.0
+    max_violation = change = 0.0
     sweeps = 0
     stalled_corrections = None
     for sweeps in range(1, max_sweeps + 1):
@@ -458,18 +457,11 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
         else:
             stalled_corrections = None
     else:
-        gap = float(abs(np.dot(w * (y - theta), theta)))
-        result = ProjectionResult(theta_hat=theta, residual=y - theta,
-                                  iterations=max_sweeps,
-                                  max_violation=max_violation,
-                                  inner_product_gap=gap)
+        result = _result_from_theta(problem, theta, iterations=max_sweeps)
         raise ConvergenceError(
-            f"no convergence in {max_sweeps} sweeps "
-            f"(violation {max_violation:.2e}, gap {gap:.2e}, change {change:.2e})",
-            result)
-    gap = float(abs(np.dot(w * (y - theta), theta)))
-    return ProjectionResult(theta_hat=theta, residual=y - theta, iterations=sweeps,
-                            max_violation=max_violation, inner_product_gap=gap)
+            f"no convergence in {max_sweeps} sweeps (violation {max_violation:.2e}, "
+            f"gap {result.inner_product_gap:.2e}, change {change:.2e})", result)
+    return _result_from_theta(problem, theta, iterations=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -583,41 +575,32 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
 # front door
 
 
-def lse_fit(dag: Dag, y, weights=None, solver: str = "auto", tol: float = DEFAULT_TOL,
-            max_sweeps: int = DEFAULT_MAX_SWEEPS, certify: bool = False,
-            certificate_tol: float = DEFAULT_CERT_TOL) -> ProjectionResult:
+def lse_fit(dag: Dag, y, weights=None, solver: str = "auto",
+            tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Weighted least-squares isotonic fit on a DAG.
 
     ``solver`` is one of ``"auto"`` (PAVA when the order is a chain,
     :func:`project_partition` otherwise), ``"pava"`` (chains only),
     ``"dykstra"``, or ``"oracle"`` (min-max enumeration, small n only).
-    ``tol`` and ``max_sweeps`` apply to Dykstra alone; the other routes are
-    exact and take no tolerance.  With ``certify=True`` the result
-    carries a :class:`DualCertificate`; a failed check raises
-    :class:`CertificateError`.
+    Every caller in the package uses ``"auto"``; the other values are
+    library-level cross-checks.  ``tol`` applies to Dykstra alone; the other
+    routes are exact and take no tolerance.
     """
     problem = IsotonicProblem(dag, y, weights)
     if solver == "auto" and not is_chain(dag):
-        result = project_partition(problem)
-    elif solver in ("auto", "pava"):
+        return project_partition(problem)
+    if solver in ("auto", "pava"):
         if not is_chain(dag):
             raise ValueError("pava solver requires a chain order")
         order = dag.topo_order
         theta = np.empty_like(problem.y)
         theta[order] = pava_chain(problem.y[order], problem.weights[order])
-        result = _result_from_theta(problem, theta, iterations=1)
-    elif solver == "dykstra":
-        result = project_dykstra(problem, tol=tol, max_sweeps=max_sweeps)
-    elif solver == "oracle":
-        theta = minmax_project_oracle(problem)
-        result = _result_from_theta(problem, theta, iterations=1)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    if certify:
-        cert = verify_projection_certificate(problem, result.theta_hat,
-                                             tol=certificate_tol)
-        result = replace(result, certificate=cert)
-    return result
+        return _result_from_theta(problem, theta, iterations=1)
+    if solver == "dykstra":
+        return project_dykstra(problem, tol=tol)
+    if solver == "oracle":
+        return _result_from_theta(problem, minmax_project_oracle(problem), iterations=1)
+    raise ValueError(f"unknown solver {solver!r}")
 
 
 def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,

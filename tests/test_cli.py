@@ -64,12 +64,15 @@ def test_fit_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_fit_rejects_nan_coordinate_exits_2(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    data.write_text("0,0.1,0.2,1.0\n1,nan,0.4,2.0\n")
+    assert main(["fit", "--data", str(data), "--d", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fit_needs_data_or_n1(capsys):
     assert main(["fit"]) == 2
-
-
-def test_fit_wrong_solver_for_lattice_exits_2(capsys):
-    assert main(["fit", "--n1", "3", "--d", "2", "--solver", "pava"]) == 2
 
 
 def test_statdim_output_matches_library(tmp_path, capsys):

@@ -50,8 +50,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(threads=0)
     with pytest.raises(ValueError):
-        _cfg(tol=0.0)
-    with pytest.raises(ValueError):
         _cfg(d=0)
     with pytest.raises(ValueError):
         _cfg(experiment="")

@@ -22,6 +22,7 @@ from isodag.orders import (
     level_cardinalities,
     longest_chain,
     maximum_antichain,
+    merge_duplicates,
     upper_set_masks,
 )
 
@@ -211,6 +212,25 @@ def test_design_dag_merges_duplicates():
 def test_design_dag_rejects_outside_cube():
     with pytest.raises(ValueError):
         build_design_dag([[0.5, 1.5]])
+
+
+def test_design_dag_rejects_nan_points():
+    # nan compares false both ways, so a check for points outside [0, 1] misses it
+    with pytest.raises(ValueError):
+        build_design_dag([[0.2, 0.3], [np.nan, 0.5]])
+
+
+def test_merge_duplicates_round_trip_and_weights():
+    pts = np.array([[0.5, 0.2], [-0.0, 1.0], [0.5, 0.2], [0.3, 0.3],
+                    [0.0, 1.0], [0.3, 0.3], [0.5, 0.2]])
+    firsts, inverse = merge_duplicates(pts)
+    # first-occurrence order; -0.0 and 0.0 are one point
+    assert firsts.tolist() == [0, 1, 3]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 2, 0]
+    assert np.array_equal(pts[firsts][inverse], pts)
+    dag = build_design_dag(pts)
+    assert np.array_equal(dag.labels, pts[firsts])
+    assert np.array_equal(dag.weights(), np.bincount(inverse))
 
 
 def test_is_isotonic():

@@ -122,10 +122,11 @@ def test_certificate_accepts_true_projection():
     rng = np.random.default_rng(3)
     dag = build_lattice(LatticeSpec((3, 3)))
     y = rng.standard_normal(9)
-    res = lse_fit(dag, y, certify=True)
-    assert res.certificate is not None
-    assert res.certificate.reconstruction_error < 1e-6
-    assert np.all(res.certificate.edge_multipliers >= 0)
+    res = lse_fit(dag, y)
+    cert = verify_projection_certificate(IsotonicProblem(dag, y), res.theta_hat)
+    assert cert is not None
+    assert cert.reconstruction_error < 1e-6
+    assert np.all(cert.edge_multipliers >= 0)
 
 
 def test_certificate_rejects_non_projection():
@@ -350,6 +351,24 @@ def test_partition_is_scale_free(scale):
         warnings.simplefilter("error")
         scaled = project_partition(IsotonicProblem(dag, scale * y, w)).theta_hat
     assert np.max(np.abs(scaled - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_dykstra_results_raise_no_warning_far_from_unit_scale(scale):
+    # Both of Dykstra's results, converged and carried by ConvergenceError,
+    # take their diagnostics at unit binary scale, so data near the ends of
+    # the float range neither under- nor overflows.
+    dag = build_lattice(LatticeSpec((3, 3)))
+    y = np.random.default_rng(0).standard_normal(9)
+    base = project_dykstra(IsotonicProblem(dag, y)).theta_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lse_fit(dag, scale * y, solver="dykstra")
+        with pytest.raises(ConvergenceError) as exc:
+            project_dykstra(IsotonicProblem(dag, scale * y), tol=1e-14, max_sweeps=2)
+    assert np.max(np.abs(res.theta_hat - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
+    assert exc.value.result.iterations == 2
+    assert exc.value.result.theta_hat.shape == (9,)
 
 
 @pytest.mark.parametrize("kind", ["constant", "isotonic"])
