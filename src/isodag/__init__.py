@@ -30,8 +30,7 @@ from .signals import (AssouadSpec, HyperrectPartition, PackingSet, SignalSpec,
                       step_function)
 from .solvers import (CertificateError, ConvergenceError, DualCertificate,
                       IsotonicProblem, ProjectionResult, is_chain, lse_fit,
-                      minmax_project_oracle, pava_chain, project_dykstra,
-                      project_partition,
+                      minmax_project_oracle, project_dykstra, project_partition,
                       verify_projection_certificate)
 
 __version__ = "0.1.0"

@@ -25,8 +25,7 @@ import numpy as np
 
 from .complexity import BoundParams, bound_eval, harmonic_sum, noise_stream, statdim_mc
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
-from .orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
-                     merge_duplicates)
+from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
 from .signals import SignalSpec, generate_signal
 from .solvers import lse_fit
 
@@ -190,18 +189,12 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
             theta0 = np.zeros(n)
         else:
             theta0 = generate_signal(config.signal, spec)
-        is_zero = not np.any(theta0)
-        base = j * config.replicates
-
-        def worker(r: int, dag: Dag = dag, w=w, theta0=theta0, n=n, base=base) -> float:
-            eps = noise_stream(config.seed, base + r).standard_normal(n)
-            y = theta0 + eps
-            res = lse_fit(dag, y)
-            diff = res.theta_hat - theta0
-            return float(np.dot(w * diff, diff))
-
-        qs = np.array([worker(r) for r in range(config.replicates)])
-        per_n.append((n, qs, is_zero))
+        qs = np.empty(config.replicates)
+        for r in range(config.replicates):
+            eps = noise_stream(config.seed, j * config.replicates + r).standard_normal(n)
+            diff = lse_fit(dag, theta0 + eps).theta_hat - theta0
+            qs[r] = np.dot(w * diff, diff)
+        per_n.append((n, qs, not np.any(theta0)))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_fixed"))
 
@@ -238,9 +231,9 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     l2p_notes = {}
     for j, n in enumerate(config.n_grid):
         base = j * config.replicates
-        l2ps = np.full(config.replicates, math.nan) if config.mc_points else None
-
-        def worker(r: int, n=n, base=base, l2ps=l2ps) -> float:
+        qs = np.empty(config.replicates)
+        l2ps = np.empty(config.replicates)
+        for r in range(config.replicates):
             rng = noise_stream(config.seed, base + r)
             X = draw_design(rng, sampler, n)
             fvals = np.zeros(n) if f0 is None else np.asarray(f0(X), dtype=float)
@@ -248,19 +241,16 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             dag = build_design_dag(X)
             firsts, inverse = merge_duplicates(X)
             w = dag.weights()
-            ybar = np.bincount(inverse, weights=y) / w
-            res = lse_fit(dag, ybar)
-            if l2ps is not None:
-                fit = FittedFunction.from_fit(X[firsts], res.theta_hat)
+            theta = lse_fit(dag, np.bincount(inverse, weights=y) / w).theta_hat
+            if config.mc_points:
+                fit = FittedFunction.from_fit(X[firsts], theta)
                 l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points,
                                       config.seed,
                                       _L2P_STREAM_OFFSET + base + r).mean
-            diff = res.theta_hat - fvals[firsts]
-            return float(np.dot(w * diff, diff))
-
-        qs = np.array([worker(r) for r in range(config.replicates)])
+            diff = theta - fvals[firsts]
+            qs[r] = np.dot(w * diff, diff)
         per_n.append((n, qs, None))
-        if l2ps is not None:
+        if config.mc_points:
             l2p_notes[str(n)] = {
                 "mean": float(np.mean(l2ps)),
                 "stderr": float(np.std(l2ps, ddof=1) / math.sqrt(l2ps.size)),

@@ -182,23 +182,12 @@ class Dag:
         cover edges are the transitive reduction of its closure.
         """
         n = int(n_vertices)
-        edges = _as_edge_array(edges)
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        order = _topological_order(n, edges)  # cycle check on raw edges
-        reach = np.zeros((n, n), dtype=bool)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loop in edge list")
-            children[u].append(v)
-        for u in order[::-1]:
-            for v in children[u]:
-                reach[u, v] = True
-                reach[u] |= reach[v]
-        cover = _transitive_reduction(reach)
-        return cls(n, cover, labels=labels, multiplicities=multiplicities,
-                   _skip_reduction_check=True)
+        # the constructor checks range, self-loops and cycles on the raw edges
+        reach = cls(n, edges, _skip_reduction_check=True).reachability()
+        dag = cls(n, _transitive_reduction(reach), labels=labels,
+                  multiplicities=multiplicities, _skip_reduction_check=True)
+        dag.__dict__["_reach"] = reach  # reducing the edges keeps their closure
+        return dag
 
     # -- serialization -----------------------------------------------------
 
@@ -231,7 +220,11 @@ class Dag:
 
     @classmethod
     def from_text(cls, text: str) -> "Dag":
-        """Parse the format written by :meth:`to_text`."""
+        """Parse the format written by :meth:`to_text`.
+
+        The edges must be cover edges: a transitively redundant edge raises
+        ``ValueError``, as it does in the constructor.
+        """
         lines = [ln.strip() for ln in text.strip().splitlines()]
         if not lines:
             raise ValueError("empty dag text")
@@ -269,8 +262,7 @@ class Dag:
             if len(toks) != 2:
                 raise ValueError(f"bad edge line: {ln!r}")
             edges.append((int(toks[0]), int(toks[1])))
-        return cls(n, edges, labels=labels, multiplicities=mult,
-                   _skip_reduction_check=True)
+        return cls(n, edges, labels=labels, multiplicities=mult)
 
 
 def _num_repr(x) -> str:

@@ -5,9 +5,12 @@ Given data ``y`` and positive weights ``w``, the fit is the minimizer of
 respect to the partial order: ``theta_u <= theta_v`` for every cover edge
 ``u -> v``.
 
-Four routes to the same projection:
+One front door, :func:`lse_fit`, which takes no options: it sends a chain
+to scipy's compiled pool-adjacent-violators
+(:func:`scipy.optimize.isotonic_regression`) along the topological order,
+exact in O(n), and every other order to :func:`project_partition`.  Three
+routes to the same projection live here:
 
-* :func:`pava_chain` -- exact pooling for totally ordered data, O(n).
 * :func:`project_partition` -- recursive partitioning for general DAGs,
   exact up to the int32 quantization of near-ties: each block splits at its
   weighted mean along a maximum-weight upper set, found for all blocks of a
@@ -18,10 +21,9 @@ Four routes to the same projection:
 * :func:`minmax_project_oracle` -- the closed-form min-max over upper and
   lower sets, exponential in n; the reference oracle for small problems.
 
-:func:`lse_fit` with ``solver="auto"`` uses PAVA on chains and partitioning
-on every other order.  :func:`verify_projection_certificate` checks an
-alleged projection against the KKT conditions of the cone program,
-recovering nonnegative edge multipliers by nonnegative least squares.
+:func:`verify_projection_certificate` checks an alleged projection against
+the KKT conditions of the cone program, recovering nonnegative edge
+multipliers by nonnegative least squares.
 """
 
 from __future__ import annotations
@@ -113,47 +115,6 @@ class DualCertificate:
 
 # ---------------------------------------------------------------------------
 # chains
-
-
-def pava_chain(y, weights=None) -> np.ndarray:
-    """Isotonic fit of a totally ordered sequence by pooling adjacent violators.
-
-    Blocks that violate monotonicity are merged to their weighted mean
-    ``(w_u y_u + w_v y_v) / (w_u + w_v)``, repeatedly, in one left-to-right
-    pass with back-merging.  Exact projection in O(n).
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("y must be a nonempty 1-d array")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise ValueError("weights shape does not match y")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-    n = y.size
-    # block stack: start index, weight sum, block mean
-    starts = np.empty(n, dtype=np.int64)
-    wsum = np.empty(n)
-    mean = np.empty(n)
-    top = -1
-    for i in range(n):
-        top += 1
-        starts[top] = i
-        wsum[top] = w[i]
-        mean[top] = y[i]
-        while top > 0 and mean[top - 1] > mean[top]:
-            tw = wsum[top - 1] + wsum[top]
-            mean[top - 1] = (wsum[top - 1] * mean[top - 1] + wsum[top] * mean[top]) / tw
-            wsum[top - 1] = tw
-            top -= 1
-    out = np.empty(n)
-    for k in range(top + 1):
-        hi = starts[k + 1] if k < top else n
-        out[starts[k]:hi] = mean[k]
-    return out
 
 
 def is_chain(dag: Dag) -> bool:
@@ -575,32 +536,25 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
 # front door
 
 
-def lse_fit(dag: Dag, y, weights=None, solver: str = "auto",
-            tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Weighted least-squares isotonic fit on a DAG.
+def lse_fit(dag: Dag, y, weights=None) -> ProjectionResult:
+    """Weighted least-squares isotonic fit on a DAG: the exact projection.
 
-    ``solver`` is one of ``"auto"`` (PAVA when the order is a chain,
-    :func:`project_partition` otherwise), ``"pava"`` (chains only),
-    ``"dykstra"``, or ``"oracle"`` (min-max enumeration, small n only).
-    Every caller in the package uses ``"auto"``; the other values are
-    library-level cross-checks.  ``tol`` applies to Dykstra alone; the other
-    routes are exact and take no tolerance.
+    A chain goes to scipy's pool-adjacent-violators along ``dag.topo_order``;
+    every other order goes to :func:`project_partition`.  ``weights``
+    defaults to the dag's multiplicities.  For the iterative and exhaustive
+    cross-checks, call :func:`project_dykstra` or
+    :func:`minmax_project_oracle` on an :class:`IsotonicProblem`.
     """
     problem = IsotonicProblem(dag, y, weights)
-    if solver == "auto" and not is_chain(dag):
+    if not is_chain(dag):
         return project_partition(problem)
-    if solver in ("auto", "pava"):
-        if not is_chain(dag):
-            raise ValueError("pava solver requires a chain order")
-        order = dag.topo_order
-        theta = np.empty_like(problem.y)
-        theta[order] = pava_chain(problem.y[order], problem.weights[order])
-        return _result_from_theta(problem, theta, iterations=1)
-    if solver == "dykstra":
-        return project_dykstra(problem, tol=tol)
-    if solver == "oracle":
-        return _result_from_theta(problem, minmax_project_oracle(problem), iterations=1)
-    raise ValueError(f"unknown solver {solver!r}")
+    # at unit binary scale, so the pooled weighted sums cannot overflow
+    unit = _binary_unit(problem.y)
+    order = dag.topo_order
+    theta = np.empty_like(problem.y)
+    theta[order] = isotonic_regression(problem.y[order] * unit,
+                                       weights=problem.weights[order]).x / unit
+    return _result_from_theta(problem, theta, iterations=1)
 
 
 def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,

@@ -24,7 +24,8 @@ from isodag.signals import (AssouadSpec, assouad_fixed, generate_signal,
                             packing_set_2d, random_staircase_spec,
                             sheet_decomposition, step_function,
                             riemann_envelopes, SignalSpec)
-from isodag.solvers import lse_fit, IsotonicProblem, verify_projection_certificate
+from isodag.solvers import (lse_fit, IsotonicProblem, minmax_project_oracle,
+                            project_dykstra, verify_projection_certificate)
 
 
 def _random_dag(rng: np.random.Generator, n: int) -> Dag:
@@ -45,8 +46,9 @@ def test_criterion_01_dykstra_matches_exhaustive_oracle_on_random_dags():
         n = int(rng.integers(2, 11))
         dag = _random_dag(rng, n)
         y = 2.0 * rng.standard_normal(n)
-        via_dykstra = lse_fit(dag, y, solver="dykstra").theta_hat
-        via_oracle = lse_fit(dag, y, solver="oracle").theta_hat
+        problem = IsotonicProblem(dag, y)
+        via_dykstra = project_dykstra(problem).theta_hat
+        via_oracle = minmax_project_oracle(problem)
         worst = max(worst, float(np.max(np.abs(via_dykstra - via_oracle))))
         assert np.max(np.abs(via_dykstra - via_oracle)) <= 1e-6
         verify_projection_certificate(IsotonicProblem(dag, y), via_dykstra,
@@ -65,8 +67,8 @@ def test_criterion_02_chain_solvers_agree_across_sizes():
         dag = build_lattice(LatticeSpec((n,)))
         for r in range(50):
             y = noise_stream(101, r).standard_normal(n)
-            a = lse_fit(dag, y, solver="pava").theta_hat
-            b = lse_fit(dag, y, solver="dykstra").theta_hat
+            a = lse_fit(dag, y).theta_hat
+            b = project_dykstra(IsotonicProblem(dag, y)).theta_hat
             worst = max(worst, float(np.max(np.abs(a - b))))
             assert np.max(np.abs(a - b)) <= 1e-7
     print(f"criterion 2: worst chain solver gap {worst:.3e}")

@@ -127,6 +127,20 @@ def test_text_round_trip(n, seed):
     assert np.array_equal(back.weights(), dag.weights())
 
 
+def test_from_text_rejects_redundant_edges():
+    # 0 -> 2 is implied by 0 -> 1 -> 2, so it is not a cover edge
+    with pytest.raises(ValueError, match="transitively reduced"):
+        Dag.from_text("3 0\nedges\n0 1\n1 2\n0 2\n")
+    dag = Dag.from_text("3 0\nedges\n0 1\n1 2\n")
+    assert dag.cover_edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_from_edges_rejects_bad_relations():
+    for edges in ([(0, 3)], [(1, 1)], [(0, 1), (1, 2), (2, 0)]):
+        with pytest.raises(ValueError):
+            Dag.from_edges(3, edges)
+
+
 def test_topo_order_respects_edges():
     dag = Dag.from_edges(5, [(3, 1), (1, 0), (4, 2)])
     pos = np.argsort(dag.topo_order)

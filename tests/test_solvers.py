@@ -1,5 +1,5 @@
-"""Cone projection: PAVA, partitioning, Dykstra, the min-max oracle, KKT
-certificates."""
+"""Cone projection: the chain route, partitioning, Dykstra, the min-max
+oracle, KKT certificates."""
 
 import warnings
 
@@ -19,7 +19,6 @@ from isodag.solvers import (
     is_chain,
     lse_fit,
     minmax_project_oracle,
-    pava_chain,
     project_dykstra,
     project_partition,
     verify_projection_certificate,
@@ -34,40 +33,41 @@ def random_dag(rng, n, p=0.35):
 
 
 # ---------------------------------------------------------------------------
-# PAVA
+# chains: lse_fit pools adjacent violators (scipy's PAVA)
+
+
+def _chain(n):
+    return build_lattice(LatticeSpec((n,)))
 
 
 def test_pava_sorted_input_unchanged():
     y = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(pava_chain(y, np.ones(3)), y)
+    assert np.array_equal(lse_fit(_chain(3), y).theta_hat, y)
 
 
 def test_pava_single_violation_pools():
-    out = pava_chain(np.array([2.0, 1.0]), np.ones(2))
+    out = lse_fit(_chain(2), np.array([2.0, 1.0])).theta_hat
     assert np.allclose(out, [1.5, 1.5])
 
 
 def test_pava_weighted_pool():
     # pooled value is the weighted mean
-    out = pava_chain(np.array([3.0, 0.0]), np.array([1.0, 3.0]))
+    out = lse_fit(_chain(2), np.array([3.0, 0.0]), np.array([1.0, 3.0])).theta_hat
     assert np.allclose(out, [0.75, 0.75])
 
 
 def test_pava_decreasing_input_pools_to_mean():
     y = np.arange(10, 0, -1, dtype=float)
-    out = pava_chain(y, np.ones(10))
+    out = lse_fit(_chain(10), y).theta_hat
     assert np.allclose(out, np.full(10, y.mean()))
 
 
-@given(arrays(np.float64, st.integers(1, 30), elements=finite_floats))
-@settings(max_examples=80, deadline=None)
-def test_pava_matches_reference(y):
-    """Cross-check against the compiled reference implementation."""
-    from scipy.optimize import isotonic_regression
-
-    ours = pava_chain(y, np.ones(y.size))
-    ref = isotonic_regression(y).x
-    assert np.allclose(ours, ref, atol=1e-10)
+def test_pava_pools_along_the_order_not_the_ids():
+    # along the chain 3 < 1 < 0 < 2 the data reads 0, 2, 1, 3
+    dag = Dag.from_edges(4, [(3, 1), (1, 0), (0, 2)])
+    assert is_chain(dag)
+    y = np.array([1.0, 2.0, 3.0, 0.0])
+    assert np.allclose(lse_fit(dag, y).theta_hat, [1.5, 1.5, 3.0, 0.0])
 
 
 @given(arrays(np.float64, st.integers(1, 25), elements=finite_floats),
@@ -77,11 +77,24 @@ def test_pava_is_projection(y, seed):
     """Nondecreasing output; optimal vs random isotonic competitors."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, y.size)
-    out = pava_chain(y, w)
+    out = lse_fit(_chain(y.size), y, w).theta_hat
     assert np.all(np.diff(out) >= -1e-12)
     for _ in range(5):
         other = np.sort(rng.uniform(y.min() - 1, y.max() + 1, y.size))
         assert np.dot(w, (y - out) ** 2) <= np.dot(w, (y - other) ** 2) + 1e-9
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -52, 1e-300, 1e300, 5e307])
+def test_pava_is_scale_free(scale):
+    # 5e307 overflows the pooled weighted sums unless the data is rescaled
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal(50)
+    w = rng.uniform(0.5, 2.0, 50)
+    base = lse_fit(_chain(50), y, w).theta_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = lse_fit(_chain(50), scale * y, w).theta_hat
+    assert np.max(np.abs(scaled - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +175,20 @@ def test_convergence_error_carries_result():
 
 
 def test_lse_fit_dispatch_and_errors():
-    chain = build_lattice(LatticeSpec((6,)))
+    # lse_fit routes a chain to pooling and a square to partitioning; the
+    # other routes reach the same projection
+    rng = np.random.default_rng(5)
+    for dag in (_chain(6), build_lattice(LatticeSpec((3, 3)))):
+        y = rng.standard_normal(dag.n_vertices)
+        prob = IsotonicProblem(dag, y)
+        fit = lse_fit(dag, y).theta_hat
+        assert np.max(np.abs(fit - project_partition(prob).theta_hat)) <= 1e-12
+        assert np.max(np.abs(fit - project_dykstra(prob).theta_hat)) < 1e-8
+        assert np.max(np.abs(fit - minmax_project_oracle(prob))) <= 1e-12
     square = build_lattice(LatticeSpec((3, 3)))
-    y = np.random.default_rng(5).standard_normal(6)
-    a = lse_fit(chain, y, solver="auto").theta_hat
-    b = lse_fit(chain, y, solver="pava").theta_hat
-    c = lse_fit(chain, y, solver="dykstra").theta_hat
-    d = lse_fit(chain, y, solver="oracle").theta_hat
-    assert np.array_equal(a, b)
-    assert np.max(np.abs(a - c)) < 1e-8
-    assert np.max(np.abs(a - d)) < 1e-8
-    with pytest.raises(ValueError):
-        lse_fit(square, np.zeros(9), solver="pava")
-    with pytest.raises(ValueError):
-        lse_fit(square, np.zeros(9), solver="nope")
+    y = rng.standard_normal(9)
+    assert np.array_equal(lse_fit(square, y).theta_hat,
+                          project_partition(IsotonicProblem(square, y)).theta_hat)
     with pytest.raises(ValueError):
         lse_fit(square, np.zeros(8))
 
@@ -198,8 +211,8 @@ def dag_and_data(draw, max_n=8):
 @settings(max_examples=50, deadline=None)
 def test_projection_idempotent(case):
     dag, y = case
-    theta = lse_fit(dag, y, tol=1e-10).theta_hat
-    again = lse_fit(dag, theta, tol=1e-10).theta_hat
+    theta = lse_fit(dag, y).theta_hat
+    again = lse_fit(dag, theta).theta_hat
     assert np.max(np.abs(again - theta)) < 1e-7
     assert is_isotonic(dag, theta, tol=1e-8)
 
@@ -211,8 +224,8 @@ def test_projection_nonexpansive(case_a, case_b):
     _, y2raw = case_b
     rng = np.random.default_rng(len(y1))
     y2 = y2raw[: len(y1)] if len(y2raw) >= len(y1) else rng.standard_normal(len(y1))
-    t1 = lse_fit(dag, y1, tol=1e-10).theta_hat
-    t2 = lse_fit(dag, y2, tol=1e-10).theta_hat
+    t1 = lse_fit(dag, y1).theta_hat
+    t2 = lse_fit(dag, y2).theta_hat
     assert np.linalg.norm(t1 - t2) <= np.linalg.norm(y1 - y2) + 1e-6
 
 
@@ -220,8 +233,8 @@ def test_projection_nonexpansive(case_a, case_b):
 @settings(max_examples=40, deadline=None)
 def test_projection_positively_homogeneous(case, scale):
     dag, y = case
-    t = lse_fit(dag, y, tol=1e-10).theta_hat
-    ts = lse_fit(dag, scale * y, tol=1e-10).theta_hat
+    t = lse_fit(dag, y).theta_hat
+    ts = lse_fit(dag, scale * y).theta_hat
     assert np.max(np.abs(ts - scale * t)) < 1e-6 * max(1.0, scale)
 
 
@@ -233,8 +246,8 @@ def test_projection_converges_far_from_unit_scale(scale):
     # and the sweeps stall short of every tolerance.
     dag = Dag.from_edges(6, [(0, 2), (0, 4), (1, 2), (2, 5)])
     y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -34.0])
-    base = lse_fit(dag, y, tol=1e-10).theta_hat
-    res = lse_fit(dag, scale * y, tol=1e-10)
+    base = project_dykstra(IsotonicProblem(dag, y), tol=1e-10).theta_hat
+    res = project_dykstra(IsotonicProblem(dag, scale * y), tol=1e-10)
     assert res.iterations < 1000
     assert np.max(np.abs(res.theta_hat - scale * base)) <= 1e-8 * scale * 34.0
 
@@ -244,8 +257,8 @@ def test_projection_converges_far_from_unit_scale(scale):
 def test_projection_translation_by_constants(case, c):
     # constants are in the cone's lineality space
     dag, y = case
-    t = lse_fit(dag, y, tol=1e-10).theta_hat
-    tc = lse_fit(dag, y + c, tol=1e-10).theta_hat
+    t = lse_fit(dag, y).theta_hat
+    tc = lse_fit(dag, y + c).theta_hat
     assert np.max(np.abs(tc - (t + c))) < 1e-7
 
 
@@ -253,7 +266,7 @@ def test_projection_translation_by_constants(case, c):
 @settings(max_examples=50, deadline=None)
 def test_projection_mean_range_pythagoras(case):
     dag, y = case
-    res = lse_fit(dag, y, tol=1e-10)
+    res = lse_fit(dag, y)
     t = res.theta_hat
     # weighted mean preserved (constants are feasible directions both ways)
     assert abs(t.mean() - y.mean()) < 1e-8
@@ -283,8 +296,8 @@ def test_dykstra_equals_pava_on_chains(n):
     rng = np.random.default_rng(n)
     dag = build_lattice(LatticeSpec((n,)))
     y = rng.standard_normal(n)
-    via_pava = lse_fit(dag, y, solver="pava").theta_hat
-    via_dykstra = lse_fit(dag, y, solver="dykstra").theta_hat
+    via_pava = lse_fit(dag, y).theta_hat
+    via_dykstra = project_dykstra(IsotonicProblem(dag, y)).theta_hat
     assert np.max(np.abs(via_pava - via_dykstra)) < 1e-9
 
 
@@ -316,7 +329,7 @@ def _criterion_01_family():
 def test_partition_matches_oracle_on_criterion_01_family():
     for dag, y in _criterion_01_family():
         ours = project_partition(IsotonicProblem(dag, y)).theta_hat
-        oracle = lse_fit(dag, y, solver="oracle").theta_hat
+        oracle = minmax_project_oracle(IsotonicProblem(dag, y))
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(y))
 
 
@@ -335,7 +348,7 @@ def test_partition_matches_tight_dykstra(case):
     _, dag, theta0 = case
     y = theta0 + np.random.default_rng(dag.n_vertices).standard_normal(dag.n_vertices)
     ours = project_partition(IsotonicProblem(dag, y))
-    ref = lse_fit(dag, y, solver="dykstra", tol=1e-11)
+    ref = project_dykstra(IsotonicProblem(dag, y), tol=1e-11)
     assert ours.max_violation <= 0.0
     assert np.max(np.abs(ours.theta_hat - ref.theta_hat)) <= 1e-9
 
@@ -363,7 +376,7 @@ def test_dykstra_results_raise_no_warning_far_from_unit_scale(scale):
     base = project_dykstra(IsotonicProblem(dag, y)).theta_hat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = lse_fit(dag, scale * y, solver="dykstra")
+        res = project_dykstra(IsotonicProblem(dag, scale * y))
         with pytest.raises(ConvergenceError) as exc:
             project_dykstra(IsotonicProblem(dag, scale * y), tol=1e-14, max_sweeps=2)
     assert np.max(np.abs(res.theta_hat - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
