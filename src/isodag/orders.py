@@ -9,7 +9,14 @@ Two constructors cover the cases used throughout the package:
 * :func:`build_lattice` builds the grid order on ``{1..n_1} x ... x {1..n_d}``
   where ``u <= v`` iff the inequality holds coordinatewise.
 * :func:`build_design_dag` builds the induced order on a finite set of points
-  in ``[0, 1]^d``, merging exact duplicates into weighted vertices.
+  in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  In the
+  plane (``d = 2``) it sweeps the sorted points and needs no n x n matrix;
+  other dimensions use the dense dominance matrix.
+
+:func:`maximum_antichain` returns a maximum antichain with a chain cover of
+the same size.  On an order it verifies to be planar dominance of its labels it uses
+patience sorting in O(n log n); on every other order, a bipartite matching
+over the n x n reachability matrix.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -17,6 +24,7 @@ coordinate tuples laid out in row-major (C) order, last coordinate fastest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,12 +53,12 @@ def _as_edge_array(edges) -> np.ndarray:
 
 def _topological_order(n: int, edges: np.ndarray) -> np.ndarray:
     """Kahn's algorithm; raises ValueError on a cycle."""
-    indeg = np.zeros(n, dtype=np.int64)
+    indeg = [0] * n
     heads: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
+    for u, v in edges.tolist():
         heads[u].append(v)
         indeg[v] += 1
-    stack = sorted(np.flatnonzero(indeg == 0).tolist(), reverse=True)
+    stack = [u for u in range(n - 1, -1, -1) if indeg[u] == 0]
     order = []
     while stack:
         u = stack.pop()
@@ -128,9 +136,9 @@ class Dag:
         n = self.n_vertices
         reach = np.zeros((n, n), dtype=bool)
         children: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.cover_edges:
+        for u, v in self.cover_edges.tolist():
             children[u].append(v)
-        for u in self.topo_order[::-1]:
+        for u in self.topo_order[::-1].tolist():
             row = reach[u]
             for v in children[u]:
                 row[v] = True
@@ -154,7 +162,7 @@ class Dag:
     def _adjacency(self):
         children: list[list[int]] = [[] for _ in range(self.n_vertices)]
         parents: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.cover_edges:
+        for u, v in self.cover_edges.tolist():
             children[u].append(v)
             parents[v].append(u)
         return children, parents
@@ -290,9 +298,52 @@ def _transitive_reduction(reach: np.ndarray) -> np.ndarray:
 
 
 def _same_edge_set(a: np.ndarray, b: np.ndarray) -> bool:
-    sa = {tuple(e) for e in a.tolist()}
-    sb = {tuple(e) for e in b.tolist()}
-    return sa == sb
+    if a.size == 0 or b.size == 0:
+        return a.size == b.size
+    m = max(int(a.max()), int(b.max())) + 1   # one int64 key per edge
+    return np.array_equal(np.unique(a[:, 0] * m + a[:, 1]),
+                          np.unique(b[:, 0] * m + b[:, 1]))
+
+
+# Rows of the planar sweep handled at once; its memory is O(n * _SWEEP_ROWS).
+_SWEEP_ROWS = 128
+
+
+def _planar_covers(pts: np.ndarray) -> np.ndarray:
+    """Cover edges of the dominance order on points of the plane, no n x n matrix.
+
+    One sweep over the points in ``np.lexsort((y, x))`` order (Kung, Luccio &
+    Preparata 1975).  Of two distinct points only the earlier can lie below
+    the later (equal points are ordered by index), and
+    point ``q`` covers an earlier point ``p`` iff ``y_q >= y_p`` and ``y_q``
+    is strictly below the y of every candidate between them, a point ``k``
+    with ``p < k < q`` and ``y_k >= y_p``.  So along row ``p`` the covers
+    are the strict new minima of the running minimum over the candidates.
+    Rows are swept in chunks of ``_SWEEP_ROWS``.  For distinct points the
+    edges equal ``_transitive_reduction`` of the dominance matrix, in the
+    same row-major ``(u, v)`` order.
+    """
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    n = len(order)
+    # y as int32 ranks (equal y, equal rank): the running minimum is cheaper
+    y = np.unique(pts[order, 1], return_inverse=True)[1].astype(np.int32)
+    keys = []   # edge (u, v) as u * n + v, which sorts in row-major order
+    for a in range(0, n - 1, _SWEEP_ROWS):
+        k = min(_SWEEP_ROWS, n - 1 - a)
+        later = y[a + 1:]
+        # row r is point a + r, column c is point a + 1 + c; n marks no candidate
+        cand = np.where(later >= y[a:a + k, None], later, np.int32(n))
+        cand[:, :k][np.tri(k, k, -1, dtype=bool)] = n   # columns not after the row
+        low = np.minimum.accumulate(cand, axis=1)
+        cover = np.empty(low.shape, dtype=bool)
+        cover[:, 0] = low[:, 0] < n
+        np.less(low[:, 1:], low[:, :-1], out=cover[:, 1:])
+        r, c = np.divmod(np.flatnonzero(cover), n - 1 - a)
+        keys.append(order[a + r] * n + order[a + 1 + c])
+    if not keys:
+        return np.zeros((0, 2), dtype=np.int64)
+    u, v = np.divmod(np.sort(np.concatenate(keys)), n)
+    return np.stack([u, v], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +451,17 @@ def build_design_dag(points) -> Dag:
     Equal points are merged by :func:`merge_duplicates` into one vertex
     carrying a multiplicity weight.  Vertices keep the first-occurrence
     order of the input.  Non-finite coordinates are rejected.
+
+    The cover edges are built by one of two routes, chosen by ``d``:
+
+    * ``d = 2``: one sweep over the points sorted by ``(x, y)``, taken in
+      chunks of rows, so memory is O(n) per row and no n x n matrix is made.  Reachability
+      is built from the cover edges only if someone asks for it.
+    * any other ``d``: the dense n x n dominance matrix, reduced with an
+      O(n^3) float32 matrix product; the matrix is kept as the cached
+      reachability.
+
+    Both give the same cover edges in the same row-major ``(u, v)`` order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -412,18 +474,23 @@ def build_design_dag(points) -> Dag:
     mult = np.bincount(inverse)
     uniq = pts[firsts]
     n = uniq.shape[0]
-    # dominance is already transitive: closure == componentwise comparison
-    le = np.ones((n, n), dtype=bool)
-    for j in range(uniq.shape[1]):
-        col = uniq[:, j]
-        le &= col[:, None] <= col[None, :]
-    np.fill_diagonal(le, False)
-    cover = _transitive_reduction(le)
+    le = None
+    if uniq.shape[1] == 2:
+        cover = _planar_covers(uniq)
+    else:
+        # dominance is already transitive: closure == componentwise comparison
+        le = np.ones((n, n), dtype=bool)
+        for j in range(uniq.shape[1]):
+            col = uniq[:, j]
+            le &= col[:, None] <= col[None, :]
+        np.fill_diagonal(le, False)
+        cover = _transitive_reduction(le)
     dag = Dag(n, cover, labels=uniq,
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
-    dag.__dict__["_reach"] = le  # reuse the dominance matrix as the cached closure
-    le.setflags(write=False)
+    if le is not None:
+        dag.__dict__["_reach"] = le  # reuse the dominance matrix as the cached closure
+        le.setflags(write=False)
     return dag
 
 
@@ -466,12 +533,82 @@ class AntichainReport:
 
 
 def maximum_antichain(dag: Dag) -> AntichainReport:
-    """Maximum antichain via Dilworth's theorem on the split bipartite graph.
+    """Maximum antichain with a chain cover of the same size, by one of two routes.
 
-    A maximum matching on ``{v_out} x {v_in}`` with an edge per strictly
-    comparable pair yields a minimum chain cover of size ``n - |matching|``;
-    the Konig vertex cover complement recovers an antichain of that size.
+    * Planar route, when the order is a verified dominance order of the
+      plane: ``dag.labels`` are two finite numeric columns and the dag's
+      cover edges, as a set, are the planar sweep's covers of those labels.
+      With the points in ``(x, y)`` order, an antichain is a strictly
+      decreasing run of y, and patience sorting finds a longest one in
+      O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).
+      The splits come from the staircase of the antichain.
+    * Matching route, for every other order: Dilworth's theorem on the split
+      bipartite graph.  A maximum matching on ``{v_out} x {v_in}`` with an
+      edge per strictly comparable pair yields a minimum chain cover of size
+      ``n - |matching|``; the Konig vertex cover complement recovers an
+      antichain of that size.  It needs the n x n reachability matrix.
     """
+    pts = _planar_points(dag)
+    if pts is None:
+        return _matching_antichain(dag)
+    return _patience_antichain(pts)
+
+
+def _planar_points(dag: Dag) -> np.ndarray | None:
+    """The labels as float points if they realize the dag's order in the plane."""
+    labels = dag.labels
+    if labels is None or labels.shape[1] != 2 or labels.dtype.kind not in "iuf":
+        return None
+    pts = labels.astype(float)
+    if not np.all(np.isfinite(pts)) or not _same_edge_set(_planar_covers(pts),
+                                                          dag.cover_edges):
+        return None
+    return pts
+
+
+def _patience_antichain(pts: np.ndarray) -> AntichainReport:
+    """Maximum antichain of the planar order on ``pts`` (see ``_planar_covers``)."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    y = pts[order, 1]
+    n = len(y)
+    # pile k's top has the k-th smallest -y among pile tops; a point goes on
+    # the first pile whose top it does not exceed, so each pile is a chain
+    tops: list[float] = []
+    top_at: list[int] = []
+    pile = [0] * n
+    prev = [-1] * n
+    for p, z in enumerate((-y).tolist()):
+        k = bisect_left(tops, z)
+        if k == len(tops):
+            tops.append(z)
+            top_at.append(p)
+        else:
+            tops[k] = z
+            top_at[k] = p
+        pile[p] = k
+        if k:
+            prev[p] = top_at[k - 1]
+    # back-pointers from the last pile give a strictly decreasing run of y
+    run = [top_at[-1]]
+    while prev[run[-1]] >= 0:
+        run.append(prev[run[-1]])
+    w_pos = np.asarray(run[::-1], dtype=np.int64)
+    by_pile = np.argsort(pile, kind="stable")
+    ends = np.cumsum(np.bincount(pile))[:-1]
+    chains = [order[c] for c in np.split(by_pile, ends)]
+    # the last antichain point before p has the lowest y among those before p
+    last = np.searchsorted(w_pos, np.arange(n)) - 1
+    above = (last >= 0) & (y[w_pos[np.maximum(last, 0)]] <= y)
+    in_w = np.zeros(n, dtype=bool)
+    in_w[w_pos] = True
+    upper = np.sort(order[above & ~in_w])
+    lower = np.sort(order[~above & ~in_w])
+    return AntichainReport(antichain=np.sort(order[w_pos]), chain_cover=chains,
+                           upper_split=upper, lower_split=lower)
+
+
+def _matching_antichain(dag: Dag) -> AntichainReport:
+    """The matching route of :func:`maximum_antichain`, for any order."""
     n = dag.n_vertices
     reach = dag.reachability()
     rows, cols = np.nonzero(reach)

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isodag import orders
 from isodag.orders import (
     Dag,
     LatticeSpec,
     SizeCapError,
+    _matching_antichain,
+    _transitive_reduction,
     build_design_dag,
     build_lattice,
     enumerate_upper_lower_sets,
@@ -267,31 +270,108 @@ def test_maximum_antichain_matches_bruteforce(n, seed):
     assert len(report.antichain) == brute_max_antichain(dag)
 
 
+def assert_valid_antichain_report(dag, report):
+    """W is an antichain, its chain cover certifies it maximum, and the splits
+    partition the rest into what lies strictly above W and the remainder."""
+    n = dag.n_vertices
+    reach = dag.reachability()
+    W = report.antichain
+    # pairwise incomparable
+    assert not reach[np.ix_(W, W)].any()
+    # Dilworth certificate: as many chains as antichain elements, partitioning V
+    assert len(report.chain_cover) == len(W)
+    covered = np.sort(np.concatenate(report.chain_cover))
+    assert np.array_equal(covered, np.arange(n))
+    for chain in report.chain_cover:
+        assert reach[chain[:-1], chain[1:]].all()
+    # splits partition the rest; nothing in upper_split is below W, nothing
+    # in lower_split is above it, and everything in upper_split is above it
+    upper, lower = report.upper_split, report.lower_split
+    parts = np.sort(np.concatenate([W, upper, lower]))
+    assert np.array_equal(parts, np.arange(n))
+    assert not reach[np.ix_(upper, W)].any()
+    assert not reach[np.ix_(W, lower)].any()
+    assert reach[np.ix_(W, upper)].any(axis=0).all()
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_antichain_report_structure(n, seed):
     rng = np.random.default_rng(seed)
     dag = Dag.from_edges(n, random_dag_edges(rng, n))
+    assert_valid_antichain_report(dag, maximum_antichain(dag))
+
+
+@given(st.integers(min_value=1, max_value=80), st.sampled_from([None, 2, 4, 8]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_planar_route_matches_dense_reference(n, grid, seed):
+    """The sweep's cover edges and the patience antichain against the dense
+    dominance matrix and the matching route, with shared coordinates (points
+    snapped to a grid of ``1/grid``) and repeated points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    if grid is not None:
+        pts = np.round(pts * grid) / grid
+    pts = np.concatenate([pts, pts[rng.integers(0, n, size=n // 3)]])
+    dag = build_design_dag(pts)
+    uniq = dag.labels
+    le = (uniq[:, None, :] <= uniq[None, :, :]).all(axis=2)
+    np.fill_diagonal(le, False)
+    assert np.array_equal(dag.cover_edges, _transitive_reduction(le))
     report = maximum_antichain(dag)
-    W = report.antichain
-    # pairwise incomparable
-    for u, v in itertools.combinations(W.tolist(), 2):
-        assert not dag.is_comparable(u, v)
-    # Dilworth certificate: as many chains as antichain elements, partitioning V
-    assert len(report.chain_cover) == len(W)
-    covered = sorted(v for chain in report.chain_cover for v in chain)
-    assert covered == list(range(n))
-    reach = dag.reachability()
-    for chain in report.chain_cover:
-        for u, v in zip(chain, chain[1:]):
-            assert reach[u, v]
-    # splits partition the rest; nothing in upper_split is below W
-    parts = np.sort(np.concatenate([W, report.upper_split, report.lower_split]))
-    assert np.array_equal(parts, np.arange(n))
-    for v in report.upper_split:
-        assert not any(reach[v, u] for u in W)
-    for v in report.lower_split:
-        assert not any(reach[u, v] for u in W)
+    assert len(report.antichain) == len(_matching_antichain(dag).antichain)
+    assert_valid_antichain_report(dag, report)
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(orders, name)
+    monkeypatch.setattr(orders, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["missing_edge", "reversed_labels", "no_edges", "chain",
+                                  "nan_label"])
+def test_planar_route_is_checked_not_trusted(case, monkeypatch):
+    """Two-column labels that do not realize the order send it to matching."""
+    spec = LatticeSpec((3, 3))
+    labels = lattice_vertices(spec)
+    edges = build_lattice(spec).cover_edges.tolist()
+    if case == "missing_edge":
+        dag = Dag.from_edges(9, edges[1:], labels=labels)
+    elif case == "reversed_labels":
+        dag = Dag(9, edges, labels=labels[::-1])
+    elif case == "no_edges":
+        dag = Dag(9, [], labels=labels)
+    elif case == "chain":
+        dag = Dag(9, [(i, i + 1) for i in range(8)], labels=labels)
+    else:
+        # nan compares false both ways: the sweep finds no edge, as the dag has none
+        dag = Dag(2, [], labels=[[0.0, np.nan], [1.0, 0.5]])
+    matching = _spy(monkeypatch, "_matching_antichain")
+    report = maximum_antichain(dag)
+    assert len(matching) == 1
+    assert len(report.antichain) == brute_max_antichain(dag)
+    assert_valid_antichain_report(dag, report)
+
+
+@pytest.mark.parametrize("n1", [2, 3, 4, 5, 6])
+def test_planar_route_on_square_lattices(n1, monkeypatch):
+    dag = build_lattice(LatticeSpec((n1, n1)))
+    patience = _spy(monkeypatch, "_patience_antichain")
+    matching = _spy(monkeypatch, "_matching_antichain")
+    report = maximum_antichain(dag)
+    assert len(patience) == 1 and not matching
+    assert len(report.antichain) == n1
+    assert_valid_antichain_report(dag, report)
+
+
+def test_planar_antichain_at_scale():
+    # the matching route did not finish this within 9 minutes
+    dag = build_design_dag(np.random.default_rng(0).random((4000, 2)))
+    report = maximum_antichain(dag)
+    assert_valid_antichain_report(dag, report)
 
 
 def test_level_cardinalities_square():
