@@ -16,7 +16,9 @@ Two constructors cover the cases used throughout the package:
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
 the same size.  On an order it verifies to be planar dominance of its labels it uses
 patience sorting in O(n log n); on every other order, a bipartite matching
-over the n x n reachability matrix.
+over the n x n reachability matrix, read with scipy's graph routines: the
+Konig vertex cover is one breadth-first search and the chains are the
+connected components of the matching.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -30,9 +32,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  maximum_bipartite_matching)
 
-DEFAULT_MAX_VERTICES = 1_000_000
+LATTICE_VERTEX_CAP = 1_000_000
 
 # Subset enumeration (upper/lower sets, min-max oracles) is exponential in n.
 UPPER_SET_VERTEX_CAP = 12
@@ -132,12 +135,17 @@ class Dag:
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def _reach(self) -> np.ndarray:
-        n = self.n_vertices
-        reach = np.zeros((n, n), dtype=bool)
-        children: list[list[int]] = [[] for _ in range(n)]
+    def children(self) -> list[list[int]]:
+        """Cover-edge successors of each vertex, as Python lists (cached)."""
+        children: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.cover_edges.tolist():
             children[u].append(v)
+        return children
+
+    @cached_property
+    def _reach(self) -> np.ndarray:
+        reach = np.zeros((self.n_vertices, self.n_vertices), dtype=bool)
+        children = self.children
         for u in self.topo_order[::-1].tolist():
             row = reach[u]
             for v in children[u]:
@@ -157,23 +165,6 @@ class Dag:
     def is_comparable(self, u: int, v: int) -> bool:
         r = self.reachability()
         return bool(r[u, v] or r[v, u])
-
-    @cached_property
-    def _adjacency(self):
-        children: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        parents: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.cover_edges.tolist():
-            children[u].append(v)
-            parents[v].append(u)
-        return children, parents
-
-    @property
-    def children(self):
-        return self._adjacency[0]
-
-    @property
-    def parents(self):
-        return self._adjacency[1]
 
     def weights(self) -> np.ndarray:
         if self.multiplicities is None:
@@ -396,7 +387,7 @@ def lattice_index(spec: LatticeSpec, vertex: tuple[int, ...]) -> int:
     return idx
 
 
-def build_lattice(spec: LatticeSpec, max_vertices: int = DEFAULT_MAX_VERTICES) -> Dag:
+def build_lattice(spec: LatticeSpec) -> Dag:
     """Grid order on the lattice: ``u <= v`` iff coordinatewise.
 
     Cover edges step +1 in exactly one coordinate, so a full cube
@@ -405,12 +396,12 @@ def build_lattice(spec: LatticeSpec, max_vertices: int = DEFAULT_MAX_VERTICES) -
     Raises
     ------
     SizeCapError
-        If ``spec.n`` exceeds ``max_vertices``.
+        If ``spec.n`` exceeds ``LATTICE_VERTEX_CAP``.
     """
     n = spec.n
-    if n > max_vertices:
+    if n > LATTICE_VERTEX_CAP:
         raise SizeCapError(
-            f"lattice has {n} vertices, above the cap of {max_vertices}")
+            f"lattice has {n} vertices, above the cap of {LATTICE_VERTEX_CAP}")
     sides = spec.side_lengths
     d = spec.d
     shape = tuple(sides)
@@ -545,8 +536,9 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
     * Matching route, for every other order: Dilworth's theorem on the split
       bipartite graph.  A maximum matching on ``{v_out} x {v_in}`` with an
       edge per strictly comparable pair yields a minimum chain cover of size
-      ``n - |matching|``; the Konig vertex cover complement recovers an
-      antichain of that size.  It needs the n x n reachability matrix.
+      ``n - |matching|``; the Konig vertex cover complement, found by one
+      breadth-first search over the alternating graph, recovers an antichain
+      of that size.  It needs the n x n reachability matrix.
     """
     pts = _planar_points(dag)
     if pts is None:
@@ -614,59 +606,35 @@ def _matching_antichain(dag: Dag) -> AntichainReport:
     rows, cols = np.nonzero(reach)
     graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
     match_of_col = maximum_bipartite_matching(graph, perm_type="row")
-    match_of_row = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if match_of_col[v] >= 0:
-            match_of_row[match_of_col[v]] = v
+    matched = np.flatnonzero(match_of_col >= 0)
+    free = np.setdiff1d(np.arange(n), match_of_col[matched])   # unmatched rows
+    # Konig: rows are nodes 0..n-1, columns n..2n-1 and 2n a super-source.
+    # From the unmatched rows, alternate along comparable pairs row -> column
+    # and matching edges column -> row; the antichain is the rows reached
+    # whose own column was not.
+    alternating = csr_matrix(
+        (np.ones(len(rows) + matched.size + free.size, dtype=np.int8),
+         (np.r_[rows, n + matched, np.full(free.size, 2 * n)],
+          np.r_[n + cols, match_of_col[matched], free])),
+        shape=(2 * n + 1, 2 * n + 1))
+    reached = np.zeros(2 * n + 1, dtype=bool)
+    reached[breadth_first_order(alternating, 2 * n, return_predecessors=False)] = True
+    in_w = reached[:n] & ~reached[n:2 * n]
+    antichain = np.flatnonzero(in_w)
 
-    # Konig: alternate from unmatched rows along non-matching edges L->R
-    # and matching edges R->L.
-    visited_rows = np.zeros(n, dtype=bool)
-    visited_cols = np.zeros(n, dtype=bool)
-    stack = [u for u in range(n) if match_of_row[u] < 0]
-    visited_rows[stack] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(reach[u])[0]:
-            if not visited_cols[v]:
-                visited_cols[v] = True
-                w = match_of_col[v]
-                if w >= 0 and not visited_rows[w]:
-                    visited_rows[w] = True
-                    stack.append(w)
-    in_antichain = visited_rows & ~visited_cols
-    antichain = np.flatnonzero(in_antichain)
+    # chains: the matching edges link each chain; list them by head vertex
+    links = csr_matrix((np.ones(matched.size), (match_of_col[matched], matched)),
+                       shape=(n, n))
+    chain_of = connected_components(links, directed=False)[1]
+    by_chain = dag.topo_order[np.argsort(chain_of[dag.topo_order], kind="stable")]
+    starts = np.unique(chain_of[by_chain], return_index=True)[1]
+    chains = np.split(by_chain, starts[1:])
+    chains = [chains[i] for i in np.argsort(by_chain[starts])]
 
-    # chains: follow matched successor links
-    succ = match_of_row
-    has_pred = np.zeros(n, dtype=bool)
-    for u in range(n):
-        if succ[u] >= 0:
-            has_pred[succ[u]] = True
-    chains = []
-    for u in range(n):
-        if not has_pred[u]:
-            chain = [u]
-            w = succ[u]
-            while w >= 0:
-                chain.append(w)
-                w = succ[w]
-            chains.append(np.asarray(chain, dtype=np.int64))
-
-    upper, lower = _splits_from_antichain(dag, antichain)
+    above = reach[antichain].any(axis=0) & ~in_w
     return AntichainReport(antichain=antichain, chain_cover=chains,
-                           upper_split=upper, lower_split=lower)
-
-
-def _splits_from_antichain(dag: Dag, antichain: np.ndarray):
-    reach = dag.reachability()
-    n = dag.n_vertices
-    in_w = np.zeros(n, dtype=bool)
-    in_w[antichain] = True
-    above = reach[antichain, :].any(axis=0) & ~in_w
-    upper = np.flatnonzero(above)
-    lower = np.flatnonzero(~above & ~in_w)
-    return upper, lower
+                           upper_split=np.flatnonzero(above),
+                           lower_split=np.flatnonzero(~above & ~in_w))
 
 
 def level_cardinalities(spec: LatticeSpec) -> np.ndarray:

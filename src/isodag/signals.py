@@ -492,19 +492,18 @@ def k_sheet_bound(partition: HyperrectPartition, d: int) -> tuple[float, float]:
     return float(np.sum(sizes ** p)), float(k * (n / k) ** p)
 
 
-def min_sheet_partition_bruteforce(theta, lattice: LatticeSpec,
-                                   max_n: int = SHEET_BRUTEFORCE_CAP) -> int:
+def min_sheet_partition_bruteforce(theta, lattice: LatticeSpec) -> int:
     """Exact minimal number of constant sheets partitioning the lattice.
 
     A sheet is an axis-aligned box with at most two non-singleton axes on
     which ``theta`` is exactly constant.  Solved as exact cover by
     depth-first search over vertex bitmasks, branching on the lowest
-    uncovered vertex; exponential, capped at ``max_n`` vertices.
+    uncovered vertex; exponential, capped at ``SHEET_BRUTEFORCE_CAP`` vertices.
     """
     n = lattice.n
-    if n > max_n:
+    if n > SHEET_BRUTEFORCE_CAP:
         raise SizeCapError(
-            f"exact sheet partition capped at {max_n} vertices, got {n}")
+            f"exact sheet partition capped at {SHEET_BRUTEFORCE_CAP} vertices, got {n}")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n,):
         raise ValueError("theta length does not match lattice size")

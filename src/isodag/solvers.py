@@ -12,9 +12,10 @@ exact in O(n), and every other order to :func:`project_partition`.  Three
 routes to the same projection live here:
 
 * :func:`project_partition` -- recursive partitioning for general DAGs,
-  exact up to the int32 quantization of near-ties: each block splits at its
-  weighted mean along a maximum-weight upper set, found for all blocks of a
-  level by one integer maximum flow.
+  exact up to the int32 quantization of near-ties: starting from one block
+  per connected component, each block splits at its weighted mean along a
+  maximum-weight upper set, found for all blocks of a level by one integer
+  maximum flow.
 * :func:`project_dykstra` -- cyclic Dykstra projections over the cover-edge
   halfspaces for general DAGs, with correction terms guaranteeing convergence
   to the exact projection; iterative, kept as an independent cross-check.
@@ -23,7 +24,9 @@ routes to the same projection live here:
 
 :func:`verify_projection_certificate` checks an alleged projection against
 the KKT conditions of the cone program, recovering nonnegative edge
-multipliers by nonnegative least squares.
+multipliers by nonnegative least squares.  Like the solvers, it works on the
+data rescaled by an exact power of two, so it neither under- nor overflows
+on data from 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class DualCertificate:
     ``W (y - theta) = sum_e lambda_e (e_u - e_v)`` with ``lambda >= 0`` and
     ``lambda_e (theta_u - theta_v) = 0`` per edge; ``reconstruction_error``
     is the weighted norm of what nonnegative least squares could not match.
+    Both are in the data's units.
     """
 
     edge_multipliers: np.ndarray
@@ -175,17 +179,18 @@ def _pool_violators(theta: np.ndarray, label: np.ndarray, w: np.ndarray,
 def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     """Exact cone projection by recursive partitioning at block means.
 
-    Every vertex starts in one block.  On each level, an active block ``B``
-    with weighted mean ``c_B`` whose data violates one of its inner cover
-    edges takes the gains ``g_i = w_i (y_i - c_B)`` and looks for the upper
-    set ``U`` of ``B`` with the largest total gain, a maximum-weight closure
-    (Picard 1976).  If that gain is positive and ``U`` is a proper subset,
-    the fit is at least ``c_B`` on ``U`` and at most ``c_B`` on the rest
-    (Hochbaum & Queyranne 2003), so the cover edges between the two parts
-    can be dropped and both parts are split further.  Otherwise the fit is
-    constant on ``B``, namely its mean.  A block whose data is already
-    isotonic is final with the data as its fit.  Blocks stay convex in the
-    order, so only their inner cover edges matter.
+    Each connected component of the order starts as one block, so no two
+    components' gains are quantized together.  On each level, an active
+    block ``B`` with weighted mean ``c_B`` whose data violates one of its
+    inner cover edges takes the gains ``g_i = w_i (y_i - c_B)`` and looks
+    for the upper set ``U`` of ``B`` with the largest total gain, a
+    maximum-weight closure (Picard 1976).  If that gain is positive and
+    ``U`` is a proper subset, the fit is at least ``c_B`` on ``U`` and at
+    most ``c_B`` on the rest (Hochbaum & Queyranne 2003), so the cover edges
+    between the two parts can be dropped and both parts are split further.
+    Otherwise the fit is constant on ``B``, namely its mean.  A block whose
+    data is already isotonic is final with the data as its fit.  Blocks stay
+    convex in the order, so only their inner cover edges matter.
 
     The blocks of a level are disjoint, so all their closures come from one
     integer maximum flow (Dinic): source arcs for ``g > 0``, sink arcs for
@@ -219,9 +224,11 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     edges = problem.dag.cover_edges
     eu, ev = edges[:, 0], edges[:, 1]
     src, snk = n, n + 1
-    label = np.zeros(n, dtype=np.int64)
-    active = np.ones(1, dtype=bool)      # per block: still to be split
-    identity = np.zeros(1, dtype=bool)   # per block: final, fit equals data
+    k, label = connected_components(
+        csr_matrix((np.ones(eu.size), (eu, ev)), shape=(n, n)), directed=False)
+    label = label.astype(np.int64)
+    active = np.ones(k, dtype=bool)      # per block: still to be split
+    identity = np.zeros(k, dtype=bool)   # per block: final, fit equals data
     levels = 0
     while active.any():
         levels += 1
@@ -473,63 +480,69 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
                                   tol: float = DEFAULT_CERT_TOL) -> DualCertificate:
     """Check an alleged projection against the cone program's KKT conditions.
 
-    Accepts iff (a) ``theta_hat`` is isotonic within ``tol``, (b) the
-    weighted inner product ``<y - theta_hat, theta_hat>_w`` vanishes within
-    ``tol * |y|_w^2``, (c) nonnegative least squares reconstructs the scaled
-    residual from the cover-edge difference generators within
-    ``tol * |y|_w``, and (d) every multiplier above ``tol`` sits on an edge
-    that is tight within ``tol``.
+    Every condition is judged after ``y`` and ``theta_hat`` are multiplied
+    by the exact power of two that takes ``max |y|`` into ``[1, 2)``, so the
+    verdict does not change when the data is scaled by a power of two, and
+    no sum of squares under- or overflows.  Accepts iff (a) ``theta_hat`` is
+    isotonic within ``tol``, (b) the weighted inner product
+    ``<y - theta_hat, theta_hat>_w`` vanishes within ``tol * |y|_w^2``, (c)
+    nonnegative least squares reconstructs the scaled residual from the
+    cover-edge difference generators within ``tol * |y|_w``, and (d) every
+    multiplier above ``tol`` sits on an edge that is tight within ``tol``.
+    The tolerances of (a) and (d) are thus relative to the data's binary
+    magnitude.  The multipliers, the reconstruction error and any reported
+    excess are in the data's units.
 
     Raises
     ------
     CertificateError
         Naming the first failed condition and by how much it failed.
     """
-    y = problem.y
     w = problem.weights
     theta = np.asarray(theta_hat, dtype=float)
-    if theta.shape != y.shape:
+    if theta.shape != problem.y.shape:
         raise ValueError("theta_hat shape does not match y")
+    unit = _binary_unit(problem.y)
+    ys = problem.y * unit
+    ts = theta * unit
     edges = problem.dag.cover_edges
-    ny2 = float(np.dot(w * y, y))
-    ny = np.sqrt(ny2)
+    ny2 = float(np.dot(w * ys, ys))
+    ny = math.sqrt(ny2)
 
-    if edges.size:
-        gaps = theta[edges[:, 0]] - theta[edges[:, 1]]
-        max_violation = float(np.max(gaps, initial=0.0))
-    else:
-        gaps = np.zeros(0)
-        max_violation = 0.0
+    gaps = ts[edges[:, 0]] - ts[edges[:, 1]]
+    max_violation = float(np.max(gaps, initial=0.0))
     if max_violation > tol:
-        raise CertificateError("isotonic", max_violation, tol)
+        raise CertificateError("isotonic", max_violation / unit, tol / unit)
 
-    ip_gap = float(abs(np.dot(w * (y - theta), theta)))
+    ip_gap = float(abs(np.dot(w * (ys - ts), ts)))
     if ip_gap > tol * ny2:
-        raise CertificateError("orthogonality", ip_gap, tol * ny2)
+        raise CertificateError("orthogonality", ip_gap / unit / unit,
+                               tol * ny2 / unit / unit)
 
     # stationarity: W(y - theta) = A lam with A = [e_u - e_v]_e, lam >= 0;
     # solve min |W^{1/2}(y - theta) - W^{-1/2} A lam| by Lawson-Hanson NNLS
     m = edges.shape[0]
     sqw = np.sqrt(w)
-    target = sqw * (y - theta)
+    target = sqw * (ys - ts)
     if m == 0:
         lam = np.zeros(0)
         rnorm = float(np.linalg.norm(target))
     else:
-        B = np.zeros((y.size, m))
+        B = np.zeros((ys.size, m))
         cols = np.arange(m)
         np.add.at(B, (edges[:, 0], cols), 1.0 / sqw[edges[:, 0]])
         np.add.at(B, (edges[:, 1], cols), -1.0 / sqw[edges[:, 1]])
         lam, rnorm = nnls(B, target)
     if rnorm > tol * ny:
-        raise CertificateError("reconstruction", float(rnorm), tol * ny)
+        raise CertificateError("reconstruction", float(rnorm) / unit, tol * ny / unit)
 
     active = lam > tol
     if np.any(active):
         slack = float(np.max(np.abs(gaps[active])))
         if slack > tol:
-            raise CertificateError("complementary_slackness", slack, tol)
-    return DualCertificate(edge_multipliers=lam, reconstruction_error=float(rnorm))
+            raise CertificateError("complementary_slackness", slack / unit, tol / unit)
+    return DualCertificate(edge_multipliers=lam / unit,
+                           reconstruction_error=float(rnorm) / unit)
 
 
 # ---------------------------------------------------------------------------

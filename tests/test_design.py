@@ -203,6 +203,19 @@ def test_antichain_stats_single_point():
     assert np.all(st.sizes == 1)
 
 
+def test_planar_antichain_mean_matches_baik_deift_johansson():
+    # A maximum antichain of n uniform points in the square is a longest
+    # decreasing subsequence of a random permutation, whose mean is
+    # 2 sqrt(n) + c n^(1/6) + o(n^(1/6)) with c = -1.7711, the mean of the
+    # Tracy-Widom GUE law (Baik, Deift & Johansson 1999).  This is the
+    # theory behind criterion 08's band [1.2, 2.5] sqrt(n).
+    n, reps = 4000, 20
+    st = antichain_stats(2, n, DesignSampler.uniform(2), replicates=reps, seed=0)
+    predicted = 2.0 * math.sqrt(n) - 1.7711 * n ** (1.0 / 6.0)
+    se = float(np.std(st.sizes, ddof=1)) / math.sqrt(reps)
+    assert abs(st.mean_size - predicted) <= 4.0 * se, (st.mean_size, predicted, se)
+
+
 def test_chain_probability_formulas_relations():
     out = chain_probability_formulas(2, 50, 10)
     kfac = math.factorial(10)

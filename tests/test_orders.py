@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from isodag import orders
 from isodag.orders import (
@@ -300,6 +302,57 @@ def test_antichain_report_structure(n, seed):
     rng = np.random.default_rng(seed)
     dag = Dag.from_edges(n, random_dag_edges(rng, n))
     assert_valid_antichain_report(dag, maximum_antichain(dag))
+
+
+def reference_matching_antichain(dag):
+    """The matching route as per-vertex loops: Konig's alternating search as
+    a depth-first stack, chains by following matched successors."""
+    n = dag.n_vertices
+    reach = dag.reachability()
+    rows, cols = np.nonzero(reach)
+    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    match_of_col = maximum_bipartite_matching(graph, perm_type="row")
+    succ = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        if match_of_col[v] >= 0:
+            succ[match_of_col[v]] = v
+    seen_rows = succ < 0
+    seen_cols = np.zeros(n, dtype=bool)
+    stack = list(np.flatnonzero(seen_rows))
+    while stack:
+        for v in np.flatnonzero(reach[stack.pop()]):
+            if not seen_cols[v]:
+                seen_cols[v] = True
+                w = match_of_col[v]
+                if w >= 0 and not seen_rows[w]:
+                    seen_rows[w] = True
+                    stack.append(w)
+    in_w = seen_rows & ~seen_cols
+    chains = []
+    for head in sorted(set(range(n)) - set(succ[succ >= 0].tolist())):
+        chain = [head]
+        while succ[chain[-1]] >= 0:
+            chain.append(succ[chain[-1]])
+        chains.append(chain)
+    above = reach[in_w].any(axis=0) & ~in_w
+    return np.flatnonzero(in_w), chains, np.flatnonzero(above), np.flatnonzero(~above & ~in_w)
+
+
+def test_matching_route_matches_loop_reference():
+    """Same antichain, splits and chains, in the same order, as the loops."""
+    rng = np.random.default_rng(7)
+    dags = [Dag.from_edges(n, random_dag_edges(rng, n, p))
+            for n, p in zip(rng.integers(1, 40, 200), rng.choice([0.05, 0.2, 0.5], 200))]
+    dags += [build_lattice(LatticeSpec((8, 8, 8))), build_lattice(LatticeSpec((3, 5, 2, 4))),
+             build_design_dag(rng.random((300, 3)))]
+    for dag in dags:
+        report = _matching_antichain(dag)
+        antichain, chains, upper, lower = reference_matching_antichain(dag)
+        assert np.array_equal(report.antichain, antichain)
+        assert np.array_equal(report.upper_split, upper)
+        assert np.array_equal(report.lower_split, lower)
+        assert [c.tolist() for c in report.chain_cover] == chains
+        assert_valid_antichain_report(dag, report)
 
 
 @given(st.integers(min_value=1, max_value=80), st.sampled_from([None, 2, 4, 8]),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from isodag.complexity import noise_stream
 from isodag.design import DesignSampler, draw_design
 from isodag.orders import Dag, LatticeSpec, build_design_dag, build_lattice, is_isotonic
 from isodag.signals import SignalSpec, generate_signal
@@ -162,6 +163,20 @@ def test_certificate_on_exact_data():
     y = np.array([0.0, 1.0, 2.0, 3.0])
     cert = verify_projection_certificate(IsotonicProblem(dag, y), y.copy())
     assert cert.reconstruction_error < 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -52, 1e-300, 1e-200, 1e200, 1e300])
+def test_certificate_is_scale_free(scale):
+    # Judged at unit binary scale: raw sums of squares would underflow to a
+    # zero threshold below ~1e-154 and overflow above ~1e154.
+    dag = build_lattice(LatticeSpec((6, 6)))
+    y = scale * np.random.default_rng(0).standard_normal(36)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = lse_fit(dag, y).theta_hat
+        cert = verify_projection_certificate(IsotonicProblem(dag, y), theta)
+    assert cert.reconstruction_error <= 1e-12 * scale
+    assert np.all(cert.edge_multipliers >= 0)
 
 
 def test_convergence_error_carries_result():
@@ -405,6 +420,22 @@ def test_partition_quantizes_each_block_on_its_own_scale():
     alone = lse_fit(part, small).theta_hat
     assert np.ptp(alone) > 0.0
     assert np.max(np.abs(ours[9:] - alone)) <= 1e-12 * np.max(np.abs(small))
+
+
+def test_partition_fits_disjoint_replicates_as_if_alone():
+    # 100 disjoint 9^3 lattices as one order of 72,900 vertices.  Each
+    # component starts as its own block and is quantized on its own, so
+    # every replicate's fit is bitwise the one it gets alone.  One block for
+    # the whole union would round all 72,900 gains on one scale, which puts
+    # replicate 51 3.1e-7 sup away.
+    part = build_lattice(LatticeSpec((9, 9, 9)))
+    reps = 100
+    edges = np.vstack([part.cover_edges + 729 * r for r in range(reps)])
+    union = Dag(729 * reps, edges, _skip_reduction_check=True)
+    ys = [noise_stream(0, r).standard_normal(729) for r in range(reps)]
+    together = lse_fit(union, np.concatenate(ys)).theta_hat.reshape(reps, 729)
+    for r in range(reps):
+        assert np.array_equal(together[r], lse_fit(part, ys[r]).theta_hat), r
 
 
 def test_partition_pools_blocks_left_an_ulp_out_of_order():
