@@ -7,6 +7,9 @@ families (`signals`), cone-complexity instruments and risk-bound evaluators
 plumbing with a CLI (`experiments`, `cli`).
 """
 
+# the one place the version is written; `pyproject.toml` reads it from here
+__version__ = "0.1.0"
+
 from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, default_gamma,
                          gaussian_width_mc, harmonic_sum, log_plus, mc_aggregate,
                          noise_stream, statdim_mc, width_lower_bound_mc)
@@ -32,7 +35,5 @@ from .solvers import (CertificateError, ConvergenceError, DualCertificate,
                       IsotonicProblem, ProjectionResult, is_chain, lse_fit,
                       minmax_project_oracle, project_dykstra, project_partition,
                       verify_projection_certificate)
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

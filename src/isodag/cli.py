@@ -11,11 +11,17 @@ Subcommands::
     table1        statistical-dimension summary across dimensions
     rate-fit      log-log rate exponent from an emitted risk report
 
-Every subcommand accepts ``--config FILE`` with flat ``key = value`` lines
-(keys are flag names with ``-`` or ``_``); explicit command-line flags win.
+Every subcommand accepts ``--config FILE`` with flat ``key = value`` lines.
+A key is one of the subcommand's flag names, spelled with ``-`` or ``_``.
+Each line becomes the token ``--key=value``; these go between the
+subcommand and the explicit flags, and the subcommand's own parser reads
+them, so a config value is checked exactly as its flag is and an explicit
+flag wins.  Every output file is written by :func:`isodag.experiments.write_csv`
+or :func:`isodag.experiments.write_json`.
 Every fit is the exact projection ``lse_fit(dag, y)``: the choice of solver
 is made in :mod:`isodag.solvers`, and no flag selects one.  Exit codes:
-0 success, 2 validation error, 3 certificate failure (``fit``).
+0 success, 2 validation error (argparse's own, or ``error: ...``),
+3 certificate failure (``fit``).
 """
 
 from __future__ import annotations
@@ -24,15 +30,17 @@ import argparse
 import csv
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .complexity import (BoundParams, bound_eval, gaussian_width_mc, harmonic_sum,
                          noise_stream, statdim_mc)
 from .design import DesignSampler, antichain_stats
-from .experiments import (ExperimentConfig, _VERSION, emit_report, fit_rate_exponent,
-                          lattice_side, read_report, run_fixed_sweep,
-                          run_random_sweep, table1)
+from .experiments import (ExperimentConfig, emit_report, fit_rate_exponent, lattice_side,
+                          read_report, run_fixed_sweep, run_random_sweep, table1,
+                          write_csv, write_json)
 from .orders import (LatticeSpec, SizeCapError, build_design_dag, build_lattice,
                      lattice_vertices, level_cardinalities, level_antichain_report,
                      longest_chain, maximum_antichain, merge_duplicates)
@@ -42,12 +50,6 @@ from .solvers import (CertificateError, IsotonicProblem, lse_fit,
                       verify_projection_certificate)
 
 CERTIFY_VERTEX_CAP = 2000
-
-_CONVERTERS = {
-    "d": int, "n1": int, "reps": int, "seed": int, "threads": int, "k": int,
-    "mc_samples": int, "rho": float, "n_grid": str, "signal": str,
-    "out": str, "format": str, "data": str, "experiment": str,
-}
 
 
 def _is_number(token: str) -> bool:
@@ -115,37 +117,22 @@ def _statdim_bound_c1(d: int, n: int) -> float:
     return n * bound_eval("block_oracle", BoundParams(d=d), n, k=1)
 
 
-def _write_metric_csv(path: str, rows: list[dict]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "d", "n", "replicates", "seed", "mean",
-                         "stderr", "bound_C1"])
-        for r in rows:
-            writer.writerow([r["metric"], r["d"], r["n"], r["replicates"],
-                             r["seed"], repr(r["mean"]), repr(r["stderr"]),
-                             repr(r["bound_C1"])])
-
-
-def _load_config_defaults(args: argparse.Namespace, argv: list[str]):
-    """Fill flat ``key = value`` config-file entries into ``args`` for every
-    flag not given explicitly on the command line."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+def _config_tokens(path: str, keys: tuple[str, ...]) -> list[str]:
+    """The ``--key=value`` tokens of a flat ``key = value`` config file whose
+    keys must be among ``keys`` (flag names in ``_`` form)."""
+    tokens = []
+    with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{args.config}:{lineno}: expected key = value")
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in _CONVERTERS or not hasattr(args, dest):
-                raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
-            flag = "--" + dest.replace("_", "-")
-            explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-            if not explicit:
-                setattr(args, dest, _CONVERTERS[dest](value))
+            if key.replace("-", "_") not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _add_common(sub: argparse.ArgumentParser, *names: str):
@@ -171,8 +158,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str):
         "format": (("--format",), {"type": str, "default": "csv",
                                    "choices": ["csv", "json"]}),
         "threads": (("--threads",), {"type": int, "default": 1,
-                                     "help": "accepted and echoed in reports; replicates "
-                                             "run in order, whatever the value"}),
+                                     "help": "accepted and ignored"}),
         "experiment": (("--experiment",), {"type": str, "default": None,
                                            "help": "experiment name recorded in reports"}),
         "data": (("--data",), {"type": str, "default": None,
@@ -183,38 +169,37 @@ def _add_common(sub: argparse.ArgumentParser, *names: str):
         sub.add_argument(*flags, **kw)
     sub.add_argument("--config", type=str, default=None,
                      help="flat key = value defaults file")
+    sub.set_defaults(config_keys=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isodag", allow_abbrev=False,
                                      description=__doc__.split("\n")[0])
-    parser.add_argument("--version", action="version", version=f"isodag {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"isodag {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("fit", help="fit one dataset and emit fitted values")
-    _add_common(p, "data", "d", "n1", "signal", "k", "rho", "seed", "out", "format")
+    def add(name, run, summary, *names):
+        p = subs.add_parser(name, help=summary, allow_abbrev=False)
+        _add_common(p, *names)
+        p.set_defaults(run=run)
+        return p
 
+    add("fit", _cmd_fit, "fit one dataset and emit fitted values",
+        "data", "d", "n1", "signal", "k", "rho", "seed", "out", "format")
     for name in ("statdim", "width"):
-        p = subs.add_parser(name, help=f"Monte Carlo {name} of a lattice cone")
-        _add_common(p, "d", "n1", "reps", "seed", "out")
-
-    p = subs.add_parser("sweep-fixed", help="risk sweep over lattice sizes")
-    _add_common(p, "d", "n_grid", "signal", "k", "rho", "seed", "reps", "threads",
-                "out", "format", "experiment")
-
-    p = subs.add_parser("sweep-random", help="risk sweep over random designs")
-    _add_common(p, "d", "n_grid", "signal", "seed", "reps", "mc_samples",
-                "threads", "out", "format", "experiment")
-
-    p = subs.add_parser("antichain", help="antichain structure of a design")
-    _add_common(p, "d", "n1", "n_grid", "reps", "seed")
-
-    p = subs.add_parser("table1", help="statistical-dimension summary table")
-    _add_common(p, "reps", "seed", "out")
-
-    p = subs.add_parser("rate-fit", help="fit a rate exponent from a risk report")
-    p.add_argument("path", type=str, help="risk report (.csv or .json)")
-    _add_common(p, "experiment")
+        add(name, _cmd_moment, f"Monte Carlo {name} of a lattice cone",
+            "d", "n1", "reps", "seed", "out")
+    add("sweep-fixed", partial(_cmd_sweep, design="lattice"),
+        "risk sweep over lattice sizes", "d", "n_grid", "signal", "k", "rho", "seed",
+        "reps", "threads", "out", "format", "experiment")
+    add("sweep-random", partial(_cmd_sweep, design="random"),
+        "risk sweep over random designs", "d", "n_grid", "signal", "seed", "reps",
+        "mc_samples", "threads", "out", "format", "experiment")
+    add("antichain", _cmd_antichain, "antichain structure of a design",
+        "d", "n1", "n_grid", "reps", "seed")
+    add("table1", _cmd_table1, "statistical-dimension summary table", "reps", "seed", "out")
+    add("rate-fit", _cmd_rate_fit, "fit a rate exponent from a risk report",
+        "experiment").add_argument("path", type=str, help="risk report (.csv or .json)")
     return parser
 
 
@@ -263,25 +248,18 @@ def _cmd_fit(args) -> int:
     if args.out:
         fitted = res.theta_hat[idx]
         if args.format == "json":
-            import json
-            payload = {"theta_hat": fitted.tolist(), "y": np.asarray(y).tolist(),
-                       "iterations": res.iterations, "version": _VERSION}
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            write_json(args.out, {"theta_hat": fitted.tolist(), "y": y.tolist(),
+                                  "iterations": res.iterations, "version": __version__})
         else:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["index"] + [f"x_{j+1}" for j in range(coords.shape[1])]
-                                + ["y", "theta_hat"])
-                for i in range(len(fitted)):
-                    writer.writerow([i] + [repr(float(c)) for c in coords[i]]
-                                    + [repr(float(np.asarray(y)[i])), repr(float(fitted[i]))])
+            write_csv(args.out, ["index"] + [f"x_{j+1}" for j in range(coords.shape[1])]
+                      + ["y", "theta_hat"],
+                      ([i, *coords[i], y[i], fitted[i]] for i in range(len(fitted))))
         print(f"wrote {args.out}")
     return 0
 
 
-def _cmd_moment(args, which: str) -> int:
+def _cmd_moment(args) -> int:
+    which = args.command
     if args.n1 is None:
         raise ValueError(f"{which} needs --n1")
     spec = LatticeSpec((args.n1,) * args.d)
@@ -294,10 +272,10 @@ def _cmd_moment(args, which: str) -> int:
     print(f"{which} d={args.d} n={spec.n}: mean={est.mean!r} stderr={est.stderr!r} "
           f"(replicates={est.replicates}, seed={est.seed}, bound_C1={bound:.6g})")
     if args.out:
-        _write_metric_csv(args.out, [{"metric": which, "d": args.d, "n": spec.n,
-                                      "replicates": est.replicates, "seed": est.seed,
-                                      "mean": est.mean, "stderr": est.stderr,
-                                      "bound_C1": bound}])
+        write_csv(args.out, ["metric", "d", "n", "replicates", "seed", "mean", "stderr",
+                             "bound_C1"],
+                  [[which, args.d, spec.n, est.replicates, est.seed, est.mean, est.stderr,
+                    bound]])
         print(f"wrote {args.out}")
     return 0
 
@@ -308,7 +286,6 @@ def _cmd_sweep(args, design: str) -> int:
     if args.out is None:
         raise ValueError("sweep needs --out")
     grid = _parse_n_grid(args.n_grid)
-    name = args.experiment or f"sweep-{design}"
     if design == "lattice":
         if args.signal == "assouad" and len(grid) != 1:
             raise ValueError("assouad signals need a single-entry --n-grid")
@@ -316,18 +293,15 @@ def _cmd_sweep(args, design: str) -> int:
                                  args.k, args.rho)
         if args.signal == "staircase" and len(grid) != 1:
             raise ValueError("staircase signals need a single-entry --n-grid")
-        config = ExperimentConfig(experiment=name, d=args.d, n_grid=grid,
-                                  signal=signal, design="lattice", replicates=args.reps,
-                                  seed=args.seed, threads=args.threads,
-                                  out_path=args.out)
-        report = run_fixed_sweep(config)
+        run = run_fixed_sweep
     else:
         signal = _random_signal(args.signal)
-        config = ExperimentConfig(experiment=name, d=args.d, n_grid=grid,
-                                  signal=signal, design="random", replicates=args.reps,
-                                  mc_points=args.mc_samples, seed=args.seed,
-                                  threads=args.threads, out_path=args.out)
-        report = run_random_sweep(config)
+        run = run_random_sweep
+    report = run(ExperimentConfig(experiment=args.experiment or f"sweep-{design}",
+                                  d=args.d, n_grid=grid, signal=signal, design=design,
+                                  replicates=args.reps,
+                                  mc_points=getattr(args, "mc_samples", 0),
+                                  seed=args.seed, out_path=args.out))
     emit_report(report, args.format, args.out)
     for row in report.rows:
         print(f"n={row.n}: risk={row.risk_mean!r} stderr={row.risk_stderr!r}")
@@ -371,12 +345,8 @@ def _cmd_table1(args) -> int:
         print(f"d=3 log-log growth slope: {slope[0]:.4f} +- {slope[1]:.4f} "
               f"(target 1 - 2/3 = 0.3333 up to logs)")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["d", "n", "statdim_mean", "statdim_stderr", "reference"])
-            for r in rows:
-                writer.writerow([r.d, r.n, repr(r.statdim_mean), repr(r.statdim_stderr),
-                                 "" if r.reference is None else repr(r.reference)])
+        write_csv(args.out, ["d", "n", "statdim_mean", "statdim_stderr", "reference"],
+                  ([r.d, r.n, r.statdim_mean, r.statdim_stderr, r.reference] for r in rows))
         print(f"wrote {args.out}")
     return 0
 
@@ -397,22 +367,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config_defaults(args, argv)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command in ("statdim", "width"):
-            return _cmd_moment(args, args.command)
-        if args.command == "sweep-fixed":
-            return _cmd_sweep(args, "lattice")
-        if args.command == "sweep-random":
-            return _cmd_sweep(args, "random")
-        if args.command == "antichain":
-            return _cmd_antichain(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "rate-fit":
-            return _cmd_rate_fit(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        if args.config:
+            # the top-level parser has no options that take a value, so the
+            # first token naming the subcommand is the subcommand
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args.config,
+                                                                args.config_keys)
+                                     + argv[at:])
+        return args.run(args)
     except (ValueError, SizeCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

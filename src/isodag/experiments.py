@@ -7,15 +7,14 @@ projection ``lse_fit(dag, y)``; which solver computes it is decided in
 :mod:`isodag.solvers` alone.  Reports serialize to CSV (fixed column order)
 or JSON (with a config echo); identical configs produce byte-identical
 files because every replicate owns a dedicated stream and replicates run,
-and aggregate, in ascending stream order.  The ``threads`` setting is
-accepted and echoed but changes nothing: the solves are Python-bound, so a
-thread pool only contended for the interpreter lock.
+and aggregate, in ascending stream order on the calling thread.  Every file
+the package writes goes through :func:`write_csv` or :func:`write_json`,
+which hold the one float policy: shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
 
 import csv
-import importlib.metadata
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -23,16 +22,12 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .complexity import BoundParams, bound_eval, harmonic_sum, noise_stream, statdim_mc
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
 from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
 from .signals import SignalSpec, generate_signal
 from .solvers import lse_fit
-
-try:
-    _VERSION = importlib.metadata.version("isodag")
-except importlib.metadata.PackageNotFoundError:  # running from a checkout
-    _VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -43,8 +38,7 @@ class ExperimentConfig:
     for lattice designs each entry must be a perfect ``d``-th power.  The
     signal is a :class:`SignalSpec` for lattice designs, a callable
     ``f0(points) -> values`` for random designs, or ``None`` for the zero
-    signal in either case.  ``threads`` is validated and echoed, but
-    replicates always run in order on the calling thread.
+    signal in either case.
     """
 
     experiment: str
@@ -56,7 +50,6 @@ class ExperimentConfig:
     replicates: int = 200
     mc_points: int = 0
     seed: int = 0
-    threads: int = 1
     out_path: str | None = None
 
     def __post_init__(self):
@@ -72,8 +65,6 @@ class ExperimentConfig:
             raise ValueError("design must be 'lattice' or 'random'")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2 for stderr output")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.mc_points < 0 or self.mc_points == 1:
             raise ValueError("mc_points must be 0 (no population risk) or >= 2")
 
@@ -95,7 +86,7 @@ class ExperimentConfig:
                 "n_grid": list(self.n_grid), "signal": sig, "design": self.design,
                 "sampler": samp, "replicates": self.replicates,
                 "mc_points": self.mc_points, "seed": self.seed,
-                "threads": self.threads, "out_path": self.out_path}
+                "out_path": self.out_path}
 
 
 @dataclass(frozen=True)
@@ -295,36 +286,49 @@ def fit_rate_exponent(rows) -> tuple[float, float]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):   # numpy floats too, written as plain floats
+        return repr(float(value))
     return str(value)
+
+
+def write_csv(path: str, header, rows) -> str:
+    """Write ``header`` and ``rows`` as CSV lines ending in ``\\n``; returns the path.
+
+    Floats are written in shortest round-trip form (``repr(float(v))``) and
+    ``None`` cells are empty.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return path
+
+
+def write_json(path: str, payload: dict) -> str:
+    """Write ``payload`` as JSON indented by 2 with a final newline; returns the path."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return path
 
 
 def emit_report(report: RiskReport, format: str, path: str) -> str:
     """Write the report to ``path`` as ``csv`` or ``json``; returns the path.
 
-    CSV columns follow :data:`RISK_COLUMNS` exactly, floats are written in
-    shortest round-trip form, ``None`` cells are empty, and the file ends
-    with a newline.  JSON wraps the rows with the config echo, the package
-    version, and — when present — the report's ``notes`` block.
+    CSV columns follow :data:`RISK_COLUMNS` exactly.  JSON wraps the rows
+    with the config echo, the package version, and — when present — the
+    report's ``notes`` block.
     """
     if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RISK_COLUMNS)
-            for row in report.rows:
-                writer.writerow([_cell(getattr(row, c)) for c in RISK_COLUMNS])
-    elif format == "json":
+        return write_csv(path, RISK_COLUMNS,
+                         ([getattr(row, c) for c in RISK_COLUMNS] for row in report.rows))
+    if format == "json":
         payload = {"config": report.config, "rows": [asdict(r) for r in report.rows],
-                   "version": _VERSION}
+                   "version": __version__}
         if report.notes:
             payload["notes"] = report.notes
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ValueError("format must be 'csv' or 'json'")
-    return path
+        return write_json(path, payload)
+    raise ValueError("format must be 'csv' or 'json'")
 
 
 def read_report(path: str, format: str | None = None) -> RiskReport:

@@ -9,16 +9,18 @@ Two constructors cover the cases used throughout the package:
 * :func:`build_lattice` builds the grid order on ``{1..n_1} x ... x {1..n_d}``
   where ``u <= v`` iff the inequality holds coordinatewise.
 * :func:`build_design_dag` builds the induced order on a finite set of points
-  in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  In the
-  plane (``d = 2``) it sweeps the sorted points and needs no n x n matrix;
-  other dimensions use the dense dominance matrix.
+  in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  For
+  ``d <= 2`` it sweeps the sorted points of the plane (a line's points as
+  the diagonal ``(x, x)``) and needs no n x n matrix; higher dimensions use
+  the dense dominance matrix.
 
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
-the same size.  On an order it verifies to be planar dominance of its labels it uses
-patience sorting in O(n log n); on every other order, a bipartite matching
-over the n x n reachability matrix, read with scipy's graph routines: the
-Konig vertex cover is one breadth-first search and the chains are the
-connected components of the matching.
+the same size.  On an order it verifies to be planar dominance of its labels
+(one label column counts as the plane's diagonal) it uses patience sorting
+in O(n log n); on every other order, a bipartite matching over the n x n
+reachability matrix, read with scipy's graph routines: the Konig vertex
+cover is one breadth-first search and the chains are the connected
+components of the matching.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -445,10 +447,12 @@ def build_design_dag(points) -> Dag:
 
     The cover edges are built by one of two routes, chosen by ``d``:
 
-    * ``d = 2``: one sweep over the points sorted by ``(x, y)``, taken in
-      chunks of rows, so memory is O(n) per row and no n x n matrix is made.  Reachability
-      is built from the cover edges only if someone asks for it.
-    * any other ``d``: the dense n x n dominance matrix, reduced with an
+    * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, taken in
+      chunks of rows, so memory is O(n) per row and no n x n matrix is made.
+      A point ``x`` of the line is swept as ``(x, x)``; the labels keep one
+      column.  Reachability is built from the cover edges only if someone
+      asks for it.
+    * ``d >= 3``: the dense n x n dominance matrix, reduced with an
       O(n^3) float32 matrix product; the matrix is kept as the cached
       reachability.
 
@@ -466,8 +470,8 @@ def build_design_dag(points) -> Dag:
     uniq = pts[firsts]
     n = uniq.shape[0]
     le = None
-    if uniq.shape[1] == 2:
-        cover = _planar_covers(uniq)
+    if uniq.shape[1] <= 2:
+        cover = _planar_covers(uniq[:, [0, -1]])
     else:
         # dominance is already transitive: closure == componentwise comparison
         le = np.ones((n, n), dtype=bool)
@@ -527,8 +531,10 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
     """Maximum antichain with a chain cover of the same size, by one of two routes.
 
     * Planar route, when the order is a verified dominance order of the
-      plane: ``dag.labels`` are two finite numeric columns and the dag's
-      cover edges, as a set, are the planar sweep's covers of those labels.
+      plane: ``dag.labels`` are one or two finite numeric columns (one
+      column ``x`` is read as the point ``(x, x)``, so chains take this
+      route) and the dag's cover edges, as a set, are the planar sweep's
+      covers of those points.
       With the points in ``(x, y)`` order, an antichain is a strictly
       decreasing run of y, and patience sorting finds a longest one in
       O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).
@@ -549,9 +555,9 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
 def _planar_points(dag: Dag) -> np.ndarray | None:
     """The labels as float points if they realize the dag's order in the plane."""
     labels = dag.labels
-    if labels is None or labels.shape[1] != 2 or labels.dtype.kind not in "iuf":
+    if labels is None or labels.shape[1] not in (1, 2) or labels.dtype.kind not in "iuf":
         return None
-    pts = labels.astype(float)
+    pts = labels[:, [0, -1]].astype(float)
     if not np.all(np.isfinite(pts)) or not _same_edge_set(_planar_covers(pts),
                                                           dag.cover_edges):
         return None

@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isodag
 from isodag.cli import main
 from isodag.complexity import statdim_mc
 from isodag.experiments import read_report
@@ -18,6 +21,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("isodag ")
+
+
+def test_version_is_written_once(capsys):
+    """``--version`` prints ``isodag.__version__``, and so does the package
+    metadata that setuptools reads from ``pyproject.toml``."""
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == f"isodag {isodag.__version__}\n"
+    pyproject = Path(isodag.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not running from a checkout")
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():   # setuptools marks [tool.setuptools] as beta
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["version"] == isodag.__version__
 
 
 def test_fit_synthetic_lattice(tmp_path, capsys):
@@ -235,3 +254,50 @@ def test_config_file_missing_exits_2(tmp_path):
     assert main(["statdim", "--n1", "3",
                  "--config", str(tmp_path / "absent.cfg")]) == 2
 
+
+
+def test_config_value_is_checked_as_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    out = tmp_path / "fit.out"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--n1", "3", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    from_config = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--n1", "3", "--format", "xml", "--out", str(out)])
+    assert exc.value.code == 2
+    assert from_config == capsys.readouterr()
+    assert "invalid choice: 'xml'" in from_config.err
+
+
+def test_subcommand_flags_are_not_abbreviated(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["statdim", "--n1", "3", "--rep", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["rep", "help", "config", "threads"])
+def test_config_keys_are_the_subcommands_own_flags(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# {key}\n{key} = 5\n")
+    assert main(["statdim", "--n1", "3", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_config_run_matches_the_same_flags(tmp_path, capsys):
+    """A config file gives the bytes and output of the flags it spells out;
+    ``threads`` is accepted and ignored."""
+    out = tmp_path / "sweep.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"d = 2\nn_grid = 4,16,64\nsignal = linear_mean\nreps = 3\n"
+                   f"threads = 2\nformat = json\nout = {out}\n")
+    assert main(["sweep-fixed", "--config", str(cfg), "--seed", "4"]) == 0
+    from_config = (out.read_bytes(), capsys.readouterr())
+    out.unlink()
+    assert main(["sweep-fixed", "--d", "2", "--n-grid", "4,16,64", "--signal",
+                 "linear_mean", "--reps", "3", "--format", "json", "--out", str(out),
+                 "--seed", "4"]) == 0
+    assert from_config == (out.read_bytes(), capsys.readouterr())
+    assert "threads" not in read_report(str(out)).config

@@ -48,8 +48,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _cfg(design="grid")
     with pytest.raises(ValueError):
-        _cfg(threads=0)
-    with pytest.raises(ValueError):
         _cfg(d=0)
     with pytest.raises(ValueError):
         _cfg(experiment="")
@@ -101,12 +99,6 @@ def test_fixed_sweep_nonzero_signal_has_no_statdim_column():
     row = run_fixed_sweep(cfg).rows[0]
     assert row.statdim_mean is None
     assert row.risk_mean > 0
-
-
-def test_fixed_sweep_thread_count_does_not_change_results():
-    r1 = run_fixed_sweep(_cfg(n_grid=(9,), replicates=10, threads=1))
-    r4 = run_fixed_sweep(_cfg(n_grid=(9,), replicates=10, threads=4))
-    assert r1.rows == r4.rows
 
 
 def test_fixed_sweep_rejects_callable_signal():

@@ -420,6 +420,35 @@ def test_planar_route_on_square_lattices(n1, monkeypatch):
     assert_valid_antichain_report(dag, report)
 
 
+@pytest.mark.parametrize("case", ["design", "snapped_design", "chain_lattice"])
+def test_line_orders_take_the_planar_route(case, monkeypatch):
+    """One label column is swept as the plane's diagonal ``(x, x)``: d=1 designs
+    and chain lattices take the sweep and patience routes, with the dense
+    cover edges and the matching route's report.  scipy's matching is slow on
+    a chain whose ids are not in topological order (16 s at n=600)."""
+    if case == "chain_lattice":
+        dag = build_lattice(LatticeSpec((30,)))
+    else:
+        x = np.random.default_rng(3).random(450)
+        if case == "snapped_design":
+            x = np.round(x * 8) / 8   # 9 distinct points, most repeated
+        dag = build_design_dag(x)
+        assert "_reach" not in dag.__dict__   # the sweep made no n x n matrix
+        le = dag.labels <= dag.labels.T
+        np.fill_diagonal(le, False)
+        assert np.array_equal(dag.cover_edges, _transitive_reduction(le))
+    expected = _matching_antichain(dag)
+    patience = _spy(monkeypatch, "_patience_antichain")
+    matching = _spy(monkeypatch, "_matching_antichain")
+    report = maximum_antichain(dag)
+    assert len(patience) == 1 and not matching
+    assert np.array_equal(report.antichain, expected.antichain)
+    assert np.array_equal(report.upper_split, expected.upper_split)
+    assert np.array_equal(report.lower_split, expected.lower_split)
+    assert [c.tolist() for c in report.chain_cover] == [
+        c.tolist() for c in expected.chain_cover]
+
+
 def test_planar_antichain_at_scale():
     # the matching route did not finish this within 9 minutes
     dag = build_design_dag(np.random.default_rng(0).random((4000, 2)))
