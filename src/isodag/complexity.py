@@ -7,9 +7,16 @@ here by seeded Monte Carlo around the exact projection :func:`lse_fit`.
 
 Reproducibility scheme: replicate ``r`` of an experiment draws its noise
 from ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_id + r,)))``, so
-any replicate can be regenerated in isolation and fan-out across workers
-cannot reorder the stream assignment.  Aggregation always runs in ascending
-stream order, which keeps every reported mean bit-reproducible.
+any replicate can be regenerated in isolation.  Aggregation always runs in
+ascending stream order, which keeps every reported mean bit-reproducible.
+
+The replicates of one cell are solved together: up to
+``MC_UNION_VERTICES`` vertices' worth of them are laid side by side as
+disjoint copies of the order (:func:`disjoint_copies`), with their noise
+vectors concatenated in stream order, and fitted by one :func:`lse_fit`.
+Each copy's fit is bitwise the one a separate call gives (see
+:func:`project_partition`), so only the fixed cost per solve level is
+shared.  Chains stay one call per replicate, on pool-adjacent-violators.
 
 ``bound_eval`` evaluates the closed-form risk envelopes that the sweep
 reports are compared against, each named by what it bounds rather than by a
@@ -24,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orders import AntichainReport, Dag
-from .solvers import lse_fit
+from .orders import AntichainReport, Dag, disjoint_copies
+from .solvers import is_chain, lse_fit
 
 BOUND_NAMES = (
     "worst_fixed",        # global rate for fixed lattice designs
@@ -35,6 +42,12 @@ BOUND_NAMES = (
     "worst_random",       # global rate for random designs
     "block_oracle_random",  # adaptation under random designs
 )
+
+# Replicates of one Monte Carlo cell are fitted together as disjoint copies
+# of the order, as many as fit in this many vertices.  Larger unions lose to
+# separate fits: the union's Dinic phase count is the maximum over its
+# replicates, and every phase scans the whole union.
+MC_UNION_VERTICES = 2048
 
 
 @dataclass(frozen=True)
@@ -73,11 +86,18 @@ def _projection_norms(dag: Dag, replicates: int, seed: int,
         raise ValueError("replicates must be >= 2")
     n = dag.n_vertices
     w = dag.weights()
+    per_fit = 1 if is_chain(dag) else max(1, MC_UNION_VERTICES // n)
+    union = disjoint_copies(dag, min(per_fit, replicates))
     out = np.empty(replicates)
-    for r in range(replicates):
-        eps = noise_stream(seed, stream_id + r).standard_normal(n)
-        theta = lse_fit(dag, eps).theta_hat
-        out[r] = np.dot(w * theta, theta)
+    for first in range(0, replicates, per_fit):
+        k = min(per_fit, replicates - first)
+        if k * n < union.n_vertices:   # the last, shorter union
+            union = disjoint_copies(dag, k)
+        eps = np.concatenate([noise_stream(seed, stream_id + r).standard_normal(n)
+                              for r in range(first, first + k)])
+        thetas = lse_fit(union, eps).theta_hat.reshape(k, n)
+        for r, theta in enumerate(thetas, first):
+            out[r] = np.dot(w * theta, theta)
     return out
 
 

@@ -99,7 +99,7 @@ class Dag:
     """
 
     def __init__(self, n_vertices, cover_edges, labels=None, multiplicities=None,
-                 _skip_reduction_check=False):
+                 _skip_reduction_check=False, _topo_order=None):
         n = int(n_vertices)
         if n <= 0:
             raise ValueError("n_vertices must be positive")
@@ -111,7 +111,8 @@ class Dag:
         self.n_vertices = n
         self.cover_edges = edges
         self.cover_edges.setflags(write=False)
-        self.topo_order = _topological_order(n, edges)
+        self.topo_order = (_topological_order(n, edges) if _topo_order is None
+                           else np.asarray(_topo_order, dtype=np.int64))
         self.topo_order.setflags(write=False)
         if labels is not None:
             labels = np.asarray(labels)
@@ -264,6 +265,30 @@ class Dag:
                 raise ValueError(f"bad edge line: {ln!r}")
             edges.append((int(toks[0]), int(toks[1])))
         return cls(n, edges, labels=labels, multiplicities=mult)
+
+
+def disjoint_copies(dag: Dag, copies: int) -> Dag:
+    """The order of ``copies`` side-by-side copies of ``dag``, none comparable
+    with another.
+
+    Copy ``i`` holds vertices ``i*n .. (i+1)*n - 1``; its cover edges,
+    multiplicities and topological order are those of ``dag``, offset by
+    ``i*n``.  ``dag`` already passed the cycle and reduction checks, and a
+    disjoint union of reduced orders is reduced, so both are skipped.  The
+    copies carry no labels.  One copy is ``dag`` itself.
+    """
+    copies = int(copies)
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    if copies == 1:
+        return dag
+    n = dag.n_vertices
+    offsets = n * np.arange(copies, dtype=np.int64)
+    edges = (dag.cover_edges[None] + offsets[:, None, None]).reshape(-1, 2)
+    topo = (dag.topo_order[None] + offsets[:, None]).ravel()
+    mult = None if dag.multiplicities is None else np.tile(dag.multiplicities, copies)
+    return Dag(n * copies, edges, multiplicities=mult, _skip_reduction_check=True,
+               _topo_order=topo)
 
 
 def _num_repr(x) -> str:
@@ -617,11 +642,14 @@ def _matching_antichain(dag: Dag) -> AntichainReport:
     # Konig: rows are nodes 0..n-1, columns n..2n-1 and 2n a super-source.
     # From the unmatched rows, alternate along comparable pairs row -> column
     # and matching edges column -> row; the antichain is the rows reached
-    # whose own column was not.
+    # whose own column was not.  The rows' lists are graph's, so the CSR
+    # arrays are laid out directly instead of sorting the pairs again.
+    nnz = graph.indptr[-1]
     alternating = csr_matrix(
-        (np.ones(len(rows) + matched.size + free.size, dtype=np.int8),
-         (np.r_[rows, n + matched, np.full(free.size, 2 * n)],
-          np.r_[n + cols, match_of_col[matched], free])),
+        (np.ones(nnz + matched.size + free.size, dtype=np.int8),
+         np.r_[n + graph.indices, match_of_col[matched], free],
+         np.r_[graph.indptr, nnz + np.cumsum(match_of_col >= 0),
+               nnz + matched.size + free.size]),
         shape=(2 * n + 1, 2 * n + 1))
     reached = np.zeros(2 * n + 1, dtype=bool)
     reached[breadth_first_order(alternating, 2 * n, return_predecessors=False)] = True

@@ -208,6 +208,15 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
       blocks that end up an ulp out of order across a cover edge are
       pooled, so the fit is always isotonic.
 
+    Components do not interact, so a disjoint union of orders is fitted
+    bitwise as each part is alone; ``complexity`` relies on this to solve a
+    cell's replicates in one call.  Each block's gains are quantized on its
+    own power-of-two scale, and the data's common power-of-two rescaling
+    changes no mantissa.  The vertices reachable from the source in the
+    residual graph are the unique minimal minimum cut whatever maximum flow
+    Dinic finds, so restricted to one component they are that component's
+    own minimal cut.  Block sums are ``bincount`` sums in vertex order.
+
     The fit is exact up to the int32 quantization of near-ties.  Rounding
     moves any upper set's integer gain by at most ``|B| / 2`` steps of
     ``2**-30`` of the block's positive gains, so two things can differ from

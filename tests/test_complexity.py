@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from isodag import complexity
 from isodag.complexity import (
     BOUND_NAMES,
+    MC_UNION_VERTICES,
     BoundParams,
     bound_eval,
     default_gamma,
@@ -19,8 +21,9 @@ from isodag.complexity import (
     statdim_mc,
     width_lower_bound_mc,
 )
-from isodag.orders import (Dag, LatticeSpec, build_lattice,
+from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
                            level_antichain_report)
+from isodag.solvers import is_chain, lse_fit
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,51 @@ def test_statdim_deterministic_and_stream_layout():
     assert manual == est
     other = statdim_mc(dag, replicates=40, seed=9, stream_id=45)
     assert other.mean != est.mean
+
+
+def _batch_cases():
+    # (dag, replicates): a lattice whose replicate count leaves a short last
+    # union (35 vertices, 58 copies per union: 58 + 58 + 14); a weighted
+    # design with merged duplicates, whose multiplicities are tiled; a
+    # chain; and an order above the vertex budget, fitted alone.
+    grid = np.random.default_rng(5).integers(0, 5, (60, 2)) / 4.0
+    design = build_design_dag(grid)
+    assert design.multiplicities is not None
+    return [(build_lattice(LatticeSpec((5, 7))), 130), (design, 90),
+            (build_lattice(LatticeSpec((7,))), 20),
+            (build_lattice(LatticeSpec((46, 46))), 3)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_replicates_equal_separate_fits_bitwise(case):
+    dag, reps = _batch_cases()[case]
+    w = dag.weights()
+    sq = []
+    for r in range(reps):
+        theta = lse_fit(dag, noise_stream(3, 17 + r).standard_normal(dag.n_vertices)).theta_hat
+        sq.append(np.dot(w * theta, theta))
+    assert np.array_equal(complexity._projection_norms(dag, reps, 3, 17), sq)
+    assert statdim_mc(dag, reps, seed=3, stream_id=17) == mc_aggregate(sq, 3, 17)
+    assert gaussian_width_mc(dag, reps, seed=3, stream_id=17) == mc_aggregate(
+        np.sqrt(sq), 3, 17)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_unions_stay_within_the_vertex_budget(case, monkeypatch):
+    dag, reps = _batch_cases()[case]
+    n = dag.n_vertices
+    sizes = []
+
+    def recording_fit(union, y):
+        sizes.append(union.n_vertices)
+        return lse_fit(union, y)
+
+    monkeypatch.setattr(complexity, "lse_fit", recording_fit)
+    statdim_mc(dag, reps, seed=0)
+    per_fit = 1 if is_chain(dag) else max(1, MC_UNION_VERTICES // n)
+    assert len(sizes) == math.ceil(reps / per_fit)
+    assert sum(sizes) == reps * n
+    assert all(size <= MC_UNION_VERTICES or size == n for size in sizes)
 
 
 def test_statdim_replicate_validation():

@@ -18,6 +18,7 @@ from isodag.orders import (
     _transitive_reduction,
     build_design_dag,
     build_lattice,
+    disjoint_copies,
     enumerate_upper_lower_sets,
     is_isotonic,
     lattice_index,
@@ -151,6 +152,23 @@ def test_topo_order_respects_edges():
     pos = np.argsort(dag.topo_order)
     for u, v in dag.cover_edges:
         assert pos[u] < pos[v]
+
+
+def test_disjoint_copies_tile_the_order():
+    part = Dag.from_edges(5, [(3, 1), (1, 0), (4, 2)], multiplicities=[1, 2, 1, 3, 1])
+    assert disjoint_copies(part, 1) is part
+    union = disjoint_copies(part, 3)
+    # the checks the helper skips pass on its output
+    checked = Dag(15, union.cover_edges, multiplicities=union.multiplicities)
+    assert np.array_equal(checked.reachability(), union.reachability())
+    assert np.array_equal(union.weights(), np.tile(part.weights(), 3))
+    assert union.topo_order.tolist() == [v + 5 * i for i in range(3)
+                                         for v in part.topo_order.tolist()]
+    pos = np.argsort(union.topo_order)
+    assert np.all(pos[union.cover_edges[:, 0]] < pos[union.cover_edges[:, 1]])
+    assert disjoint_copies(build_lattice(LatticeSpec((2, 2))), 2).multiplicities is None
+    with pytest.raises(ValueError):
+        disjoint_copies(part, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from isodag.complexity import noise_stream
 from isodag.design import DesignSampler, draw_design
-from isodag.orders import Dag, LatticeSpec, build_design_dag, build_lattice, is_isotonic
+from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
+                           disjoint_copies, is_isotonic)
 from isodag.signals import SignalSpec, generate_signal
 from isodag.solvers import (
     CertificateError,
@@ -430,8 +431,7 @@ def test_partition_fits_disjoint_replicates_as_if_alone():
     # replicate 51 3.1e-7 sup away.
     part = build_lattice(LatticeSpec((9, 9, 9)))
     reps = 100
-    edges = np.vstack([part.cover_edges + 729 * r for r in range(reps)])
-    union = Dag(729 * reps, edges, _skip_reduction_check=True)
+    union = disjoint_copies(part, reps)
     ys = [noise_stream(0, r).standard_normal(729) for r in range(reps)]
     together = lse_fit(union, np.concatenate(ys)).theta_hat.reshape(reps, 729)
     for r in range(reps):
