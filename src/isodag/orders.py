@@ -1,8 +1,9 @@
 """Finite partial orders as DAGs: lattices, design orders, antichains.
 
 A partial order on ``{0, ..., n-1}`` is stored as a :class:`Dag` holding the
-cover edges (the transitive reduction) together with a topological order.
-Reachability -- the full order relation -- is recovered on demand and cached.
+cover edges (the transitive reduction).  A topological order and
+reachability -- the full order relation -- are computed when first read and
+cached.
 
 Two constructors cover the cases used throughout the package:
 
@@ -15,9 +16,11 @@ Two constructors cover the cases used throughout the package:
   the dense dominance matrix.
 
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
-the same size.  On an order it verifies to be planar dominance of its labels
-(one label column counts as the plane's diagonal) it uses patience sorting
-in O(n log n); on every other order, a bipartite matching over the n x n
+the same size.  On an order that is planar dominance of its labels (one
+label column counts as the plane's diagonal) it uses patience sorting in
+O(n log n); the proof is the sweep that :func:`build_design_dag` built the
+order with, or one sweep run and cached on first use for any other order.
+On every other order it runs a bipartite matching over the n x n
 reachability matrix, read with scipy's graph routines: the Konig vertex
 cover is one breadth-first search and the chains are the connected
 components of the matching.
@@ -95,11 +98,15 @@ class Dag:
         means all ones.
 
     Instances are immutable after construction and safe to share across
-    concurrent readers; reachability is computed lazily and cached.
+    concurrent readers.  The topological order, reachability and the planar
+    proof are computed when first read and cached.  The constructor checks
+    that the edges are reduced and acyclic: by one planar sweep when the
+    labels' dominance order has exactly these cover edges, and otherwise
+    on the n x n reachability matrix.
     """
 
     def __init__(self, n_vertices, cover_edges, labels=None, multiplicities=None,
-                 _skip_reduction_check=False, _topo_order=None):
+                 _skip_reduction_check=False):
         n = int(n_vertices)
         if n <= 0:
             raise ValueError("n_vertices must be positive")
@@ -111,9 +118,6 @@ class Dag:
         self.n_vertices = n
         self.cover_edges = edges
         self.cover_edges.setflags(write=False)
-        self.topo_order = (_topological_order(n, edges) if _topo_order is None
-                           else np.asarray(_topo_order, dtype=np.int64))
-        self.topo_order.setflags(write=False)
         if labels is not None:
             labels = np.asarray(labels)
             if labels.ndim == 1:
@@ -130,12 +134,23 @@ class Dag:
                 raise ValueError("multiplicities must be positive")
             multiplicities.setflags(write=False)
         self.multiplicities = multiplicities
-        if not _skip_reduction_check and edges.size:
-            red = _transitive_reduction(self.reachability())
-            if red.shape[0] != edges.shape[0] or not _same_edge_set(red, edges):
+        # a sweep's covers are reduced and acyclic; any other edges are
+        # checked on the closure, whose topological order rejects a cycle
+        if not _skip_reduction_check and edges.size and self._planar_points is None:
+            if not _same_edges(_transitive_reduction(self.reachability()), edges):
                 raise ValueError("cover_edges are not transitively reduced")
 
     # -- derived structure -------------------------------------------------
+
+    @cached_property
+    def topo_order(self) -> np.ndarray:
+        """A topological order of the vertices, by Kahn's algorithm (cached).
+
+        Raises ``ValueError`` if the edges contain a cycle.
+        """
+        order = _topological_order(self.n_vertices, self.cover_edges)
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def children(self) -> list[list[int]]:
@@ -156,6 +171,25 @@ class Dag:
                 row |= reach[v]
         reach.setflags(write=False)
         return reach
+
+    @cached_property
+    def _planar_points(self) -> np.ndarray | None:
+        """The labels as float points if they realize the order in the plane.
+
+        They do when the labels are one or two finite numeric columns (one
+        column ``x`` is read as the point ``(x, x)``) and the planar sweep's
+        covers of those points equal the cover edges, in count and as a
+        set; otherwise ``None``.  :func:`build_design_dag` stores the points
+        it swept, so its orders are never swept twice.
+        """
+        labels = self.labels
+        if labels is None or labels.shape[1] not in (1, 2) or labels.dtype.kind not in "iuf":
+            return None
+        pts = labels[:, [0, -1]].astype(float)
+        if not np.all(np.isfinite(pts)) or not _same_edges(_planar_covers(pts),
+                                                           self.cover_edges):
+            return None
+        return pts
 
     def reachability(self) -> np.ndarray:
         """Strict reachability matrix: ``R[u, v]`` iff ``u < v``.
@@ -184,7 +218,8 @@ class Dag:
         cover edges are the transitive reduction of its closure.
         """
         n = int(n_vertices)
-        # the constructor checks range, self-loops and cycles on the raw edges
+        # the constructor checks range and self-loops on the raw edges, and
+        # reading their closure runs Kahn's pass, which rejects a cycle
         reach = cls(n, edges, _skip_reduction_check=True).reachability()
         dag = cls(n, _transitive_reduction(reach), labels=labels,
                   multiplicities=multiplicities, _skip_reduction_check=True)
@@ -271,11 +306,13 @@ def disjoint_copies(dag: Dag, copies: int) -> Dag:
     """The order of ``copies`` side-by-side copies of ``dag``, none comparable
     with another.
 
-    Copy ``i`` holds vertices ``i*n .. (i+1)*n - 1``; its cover edges,
-    multiplicities and topological order are those of ``dag``, offset by
-    ``i*n``.  ``dag`` already passed the cycle and reduction checks, and a
-    disjoint union of reduced orders is reduced, so both are skipped.  The
-    copies carry no labels.  One copy is ``dag`` itself.
+    Copy ``i`` holds vertices ``i*n .. (i+1)*n - 1``; its cover edges and
+    multiplicities are those of ``dag``, offset by ``i*n``.  ``dag`` already
+    passed the cycle and reduction checks, and a disjoint union of reduced
+    orders is reduced, so the check is skipped.  The union's topological
+    order, if read, is ``dag``'s tiled copy by copy: Kahn's stack finishes
+    one copy before it pops a source of the next.  The copies carry no
+    labels.  One copy is ``dag`` itself.
     """
     copies = int(copies)
     if copies < 1:
@@ -285,10 +322,8 @@ def disjoint_copies(dag: Dag, copies: int) -> Dag:
     n = dag.n_vertices
     offsets = n * np.arange(copies, dtype=np.int64)
     edges = (dag.cover_edges[None] + offsets[:, None, None]).reshape(-1, 2)
-    topo = (dag.topo_order[None] + offsets[:, None]).ravel()
     mult = None if dag.multiplicities is None else np.tile(dag.multiplicities, copies)
-    return Dag(n * copies, edges, multiplicities=mult, _skip_reduction_check=True,
-               _topo_order=topo)
+    return Dag(n * copies, edges, multiplicities=mult, _skip_reduction_check=True)
 
 
 def _num_repr(x) -> str:
@@ -315,12 +350,15 @@ def _transitive_reduction(reach: np.ndarray) -> np.ndarray:
     return np.argwhere(cover).astype(np.int64)
 
 
-def _same_edge_set(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.size == 0 or b.size == 0:
-        return a.size == b.size
+def _same_edges(a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff two edge lists hold the same ``(u, v)`` pairs, counted with
+    multiplicity, in any order."""
+    if a.shape != b.shape:
+        return False
+    if a.size == 0:
+        return True
     m = max(int(a.max()), int(b.max())) + 1   # one int64 key per edge
-    return np.array_equal(np.unique(a[:, 0] * m + a[:, 1]),
-                          np.unique(b[:, 0] * m + b[:, 1]))
+    return np.array_equal(np.sort(a[:, 0] * m + a[:, 1]), np.sort(b[:, 0] * m + b[:, 1]))
 
 
 # Rows of the planar sweep handled at once; its memory is O(n * _SWEEP_ROWS).
@@ -475,8 +513,9 @@ def build_design_dag(points) -> Dag:
     * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, taken in
       chunks of rows, so memory is O(n) per row and no n x n matrix is made.
       A point ``x`` of the line is swept as ``(x, x)``; the labels keep one
-      column.  Reachability is built from the cover edges only if someone
-      asks for it.
+      column.  The swept points are stored as the dag's planar proof, so
+      :func:`maximum_antichain` does not sweep again.  Reachability is
+      built from the cover edges only if someone asks for it.
     * ``d >= 3``: the dense n x n dominance matrix, reduced with an
       O(n^3) float32 matrix product; the matrix is kept as the cached
       reachability.
@@ -494,9 +533,10 @@ def build_design_dag(points) -> Dag:
     mult = np.bincount(inverse)
     uniq = pts[firsts]
     n = uniq.shape[0]
-    le = None
+    le = planar = None
     if uniq.shape[1] <= 2:
-        cover = _planar_covers(uniq[:, [0, -1]])
+        planar = uniq[:, [0, -1]]
+        cover = _planar_covers(planar)
     else:
         # dominance is already transitive: closure == componentwise comparison
         le = np.ones((n, n), dtype=bool)
@@ -511,6 +551,8 @@ def build_design_dag(points) -> Dag:
     if le is not None:
         dag.__dict__["_reach"] = le  # reuse the dominance matrix as the cached closure
         le.setflags(write=False)
+    else:
+        dag.__dict__["_planar_points"] = planar  # the covers are this sweep's
     return dag
 
 
@@ -555,11 +597,13 @@ class AntichainReport:
 def maximum_antichain(dag: Dag) -> AntichainReport:
     """Maximum antichain with a chain cover of the same size, by one of two routes.
 
-    * Planar route, when the order is a verified dominance order of the
-      plane: ``dag.labels`` are one or two finite numeric columns (one
-      column ``x`` is read as the point ``(x, x)``, so chains take this
-      route) and the dag's cover edges, as a set, are the planar sweep's
-      covers of those points.
+    * Planar route, when the order is a dominance order of the plane:
+      ``dag.labels`` are one or two finite numeric columns (one column ``x``
+      is read as the point ``(x, x)``, so chains take this route) and the
+      dag's cover edges are the planar sweep's covers of those points.  The
+      proof is the dag's cached ``_planar_points``: :func:`build_design_dag`
+      stores the points it swept, and any other order is swept once on
+      first use.
       With the points in ``(x, y)`` order, an antichain is a strictly
       decreasing run of y, and patience sorting finds a longest one in
       O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).
@@ -571,22 +615,10 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       breadth-first search over the alternating graph, recovers an antichain
       of that size.  It needs the n x n reachability matrix.
     """
-    pts = _planar_points(dag)
+    pts = dag._planar_points
     if pts is None:
         return _matching_antichain(dag)
     return _patience_antichain(pts)
-
-
-def _planar_points(dag: Dag) -> np.ndarray | None:
-    """The labels as float points if they realize the dag's order in the plane."""
-    labels = dag.labels
-    if labels is None or labels.shape[1] not in (1, 2) or labels.dtype.kind not in "iuf":
-        return None
-    pts = labels[:, [0, -1]].astype(float)
-    if not np.all(np.isfinite(pts)) or not _same_edge_set(_planar_covers(pts),
-                                                          dag.cover_edges):
-        return None
-    return pts
 
 
 def _patience_antichain(pts: np.ndarray) -> AntichainReport:
@@ -726,18 +758,17 @@ def level_antichain_report(spec: LatticeSpec, level="max") -> AntichainReport:
 def longest_chain(dag: Dag) -> np.ndarray:
     """Vertex ids of a maximum chain, in increasing order."""
     n = dag.n_vertices
-    best_len = np.ones(n, dtype=np.int64)
-    best_next = np.full(n, -1, dtype=np.int64)
+    best_len = [1] * n
+    best_next = [-1] * n
     children = dag.children
-    for u in dag.topo_order[::-1]:
+    for u in dag.topo_order[::-1].tolist():
         for v in children[u]:
             if best_len[v] + 1 > best_len[u]:
                 best_len[u] = best_len[v] + 1
                 best_next[u] = v
-    start = int(np.argmax(best_len))
-    chain = [start]
+    chain = [best_len.index(max(best_len))]   # the first maximum, as np.argmax
     while best_next[chain[-1]] >= 0:
-        chain.append(int(best_next[chain[-1]]))
+        chain.append(best_next[chain[-1]])
     return np.asarray(chain, dtype=np.int64)
 
 

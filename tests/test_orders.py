@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from isodag import orders
+from isodag import cli, orders
+from isodag.complexity import statdim_mc
 from isodag.orders import (
     Dag,
     LatticeSpec,
@@ -171,6 +172,58 @@ def test_disjoint_copies_tile_the_order():
         disjoint_copies(part, 0)
 
 
+def test_topo_order_is_kahns_when_read():
+    """Read lazily, the order is bitwise the one Kahn's pass gives on the
+    cover edges, and it is computed once."""
+    rng = np.random.default_rng(5)
+    part = Dag.from_edges(6, [(3, 1), (1, 0), (4, 2), (5, 2), (3, 2)])
+    for dag in [build_lattice(LatticeSpec((4, 5))), build_lattice(LatticeSpec((3, 3, 3))),
+                build_lattice(LatticeSpec((7,))), build_design_dag(rng.random((300, 2))),
+                build_design_dag(rng.random(80)), build_design_dag(rng.random((120, 3))),
+                part, disjoint_copies(part, 4),
+                disjoint_copies(build_design_dag(rng.random((50, 2))), 3),
+                Dag.from_text(build_design_dag(rng.random((90, 2))).to_text())]:
+        assert "topo_order" not in dag.__dict__
+        expected = orders._topological_order(dag.n_vertices, dag.cover_edges)
+        assert dag.topo_order.dtype == expected.dtype
+        assert np.array_equal(dag.topo_order, expected)
+        assert not dag.topo_order.flags.writeable
+        assert dag.topo_order is dag.topo_order
+
+
+def test_topological_order_is_not_computed_unless_read(monkeypatch, capsys):
+    kahn = _spy(monkeypatch, "_topological_order")
+    assert cli.main(["antichain", "--d", "2", "--n-grid", "60", "--reps", "3",
+                     "--seed", "0"]) == 0
+    assert "mean_antichain" in capsys.readouterr().out
+    statdim_mc(build_lattice(LatticeSpec((4, 4))), 20, seed=1)
+    assert kahn == []
+
+
+def test_constructor_proves_planar_edges_by_the_sweep(monkeypatch):
+    """With planar labels the constructor checks the edges by one sweep, and
+    only edges that are not the sweep's covers take the dense check."""
+    rng = np.random.default_rng(11)
+    design = build_design_dag(rng.random((200, 2)))
+    edges = design.cover_edges.tolist()
+    dense = _spy(monkeypatch, "_transitive_reduction")
+    back = Dag.from_text(design.to_text())
+    assert "_reach" not in back.__dict__ and not dense
+    assert np.array_equal(back._planar_points, design._planar_points)
+    u, v = edges[0]
+    w = next(b for a, b in edges if a == v)   # u < v < w, so (u, w) is redundant
+    with pytest.raises(ValueError, match="transitively reduced"):
+        Dag(design.n_vertices, edges + [[u, w]], labels=design.labels)
+    with pytest.raises(ValueError, match="transitively reduced"):
+        Dag(design.n_vertices, edges + [edges[7]], labels=design.labels)
+    assert len(dense) == 2
+    with pytest.raises(ValueError, match="cycle"):
+        Dag(design.n_vertices, edges + [[w, u]], labels=design.labels)
+    # a subset of cover edges is reduced, but not the labels' order
+    part = Dag(design.n_vertices, edges[1:], labels=design.labels)
+    assert part._planar_points is None and len(dense) == 3
+
+
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -229,6 +282,21 @@ def test_longest_chain_on_cube():
     dag = build_lattice(spec)
     for u, v in zip(chain, chain[1:]):
         assert dag.reachability()[u, v]
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_longest_chain_is_the_first_longest(n, seed):
+    """The chain starts at the lowest id among the longest chains' bottoms,
+    and each step takes the first child in edge order that keeps it longest."""
+    dag = Dag.from_edges(n, random_dag_edges(np.random.default_rng(seed), n))
+    height = np.ones(n, dtype=np.int64)   # vertices on a longest chain from each
+    for u in dag.topo_order[::-1].tolist():
+        height[u] += max((height[v] for v in dag.children[u]), default=0)
+    chain = longest_chain(dag).tolist()
+    assert chain[0] == int(np.argmax(height)) and len(chain) == height.max()
+    for u, v in zip(chain, chain[1:]):
+        assert v == next(c for c in dag.children[u] if height[c] == height[u] - 1)
 
 
 def test_design_dag_matches_lattice_reachability():
@@ -465,6 +533,16 @@ def test_line_orders_take_the_planar_route(case, monkeypatch):
     assert np.array_equal(report.lower_split, expected.lower_split)
     assert [c.tolist() for c in report.chain_cover] == [
         c.tolist() for c in expected.chain_cover]
+
+
+@pytest.mark.parametrize("shape", [(300, 2), (300,)])
+def test_design_orders_are_swept_once(shape, monkeypatch):
+    """build_design_dag's sweep is the planar proof maximum_antichain uses."""
+    sweeps = _spy(monkeypatch, "_planar_covers")
+    dag = build_design_dag(np.random.default_rng(2).random(shape))
+    report = maximum_antichain(dag)
+    assert len(sweeps) == 1
+    assert_valid_antichain_report(dag, report)
 
 
 def test_planar_antichain_at_scale():
