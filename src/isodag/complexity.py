@@ -10,13 +10,15 @@ from ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_id + r,)))``, so
 any replicate can be regenerated in isolation.  Aggregation always runs in
 ascending stream order, which keeps every reported mean bit-reproducible.
 
-The replicates of one cell are solved together: up to
-``MC_UNION_VERTICES`` vertices' worth of them are laid side by side as
-disjoint copies of the order (:func:`disjoint_copies`), with their noise
-vectors concatenated in stream order, and fitted by one :func:`lse_fit`.
-Each copy's fit is bitwise the one a separate call gives (see
-:func:`project_partition`), so only the fixed cost per solve level is
-shared.  Chains stay one call per replicate, on pool-adjacent-violators.
+Replicates on one order are solved together by :func:`fit_replicates`,
+the one replicate engine behind these instruments and the lattice risk
+sweeps of :mod:`isodag.experiments`: up to ``MC_UNION_VERTICES``
+vertices' worth of them are laid side by side as disjoint copies of the
+order (:func:`disjoint_copies`), with their data vectors concatenated in
+stream order, and fitted by one :func:`lse_fit`.  Each copy's fit is
+bitwise the one a separate call gives (see :func:`project_partition`), so
+only the fixed cost per solve level is shared.  Chains stay one call per
+replicate, on pool-adjacent-violators.
 
 ``bound_eval`` evaluates the closed-form risk envelopes that the sweep
 reports are compared against, each named by what it bounds rather than by a
@@ -26,7 +28,9 @@ bounds use ``log_plus(x) = log(max(x, e))`` so they stay monotone near 1.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +47,8 @@ BOUND_NAMES = (
     "block_oracle_random",  # adaptation under random designs
 )
 
-# Replicates of one Monte Carlo cell are fitted together as disjoint copies
-# of the order, as many as fit in this many vertices.  Larger unions lose to
+# Replicates on one order are fitted together as disjoint copies of the
+# order, as many as fit in this many vertices.  Larger unions lose to
 # separate fits: the union's Dinic phase count is the maximum over its
 # replicates, and every phase scans the whole union.
 MC_UNION_VERTICES = 2048
@@ -80,25 +84,34 @@ def mc_aggregate(values, seed: int, stream_id: int) -> MonteCarloEstimate:
                               seed=int(seed), stream_id=int(stream_id))
 
 
+def fit_replicates(dag: Dag, ys: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Yield the fit of each data vector in ``ys`` on ``dag``, in order.
+
+    The vectors are fitted in unions of ``MC_UNION_VERTICES // n`` of them:
+    one :func:`lse_fit` on that many :func:`disjoint_copies` of ``dag``,
+    with the vectors concatenated in order.  Each yielded fit is bitwise the
+    one ``lse_fit(dag, y)`` gives (see :func:`project_partition`).  Chains,
+    and orders of more than half the budget, take one call per vector.
+    ``ys`` is read lazily, one union at a time.
+    """
+    n = dag.n_vertices
+    per_fit = 1 if is_chain(dag) else max(1, MC_UNION_VERTICES // n)
+    ys = iter(ys)
+    union = dag
+    while batch := list(itertools.islice(ys, per_fit)):
+        if len(batch) * n != union.n_vertices:
+            union = disjoint_copies(dag, len(batch))
+        yield from lse_fit(union, np.concatenate(batch)).theta_hat.reshape(len(batch), n)
+
+
 def _projection_norms(dag: Dag, replicates: int, seed: int,
                       stream_id: int) -> np.ndarray:
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     n = dag.n_vertices
     w = dag.weights()
-    per_fit = 1 if is_chain(dag) else max(1, MC_UNION_VERTICES // n)
-    union = disjoint_copies(dag, min(per_fit, replicates))
-    out = np.empty(replicates)
-    for first in range(0, replicates, per_fit):
-        k = min(per_fit, replicates - first)
-        if k * n < union.n_vertices:   # the last, shorter union
-            union = disjoint_copies(dag, k)
-        eps = np.concatenate([noise_stream(seed, stream_id + r).standard_normal(n)
-                              for r in range(first, first + k)])
-        thetas = lse_fit(union, eps).theta_hat.reshape(k, n)
-        for r, theta in enumerate(thetas, first):
-            out[r] = np.dot(w * theta, theta)
-    return out
+    eps = (noise_stream(seed, stream_id + r).standard_normal(n) for r in range(replicates))
+    return np.array([np.dot(w * theta, theta) for theta in fit_replicates(dag, eps)])
 
 
 def statdim_mc(dag: Dag, replicates: int, seed: int,

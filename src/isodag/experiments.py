@@ -4,12 +4,16 @@ A sweep runs the least-squares isotonic fit over a grid of sample sizes,
 replicating each size across independent noise streams, and reports mean
 empirical risk with its Monte Carlo standard error.  Every fit is the exact
 projection ``lse_fit(dag, y)``; which solver computes it is decided in
-:mod:`isodag.solvers` alone.  Reports serialize to CSV (fixed column order)
-or JSON (with a config echo); identical configs produce byte-identical
-files because every replicate owns a dedicated stream and replicates run,
-and aggregate, in ascending stream order on the calling thread.  Every file
-the package writes goes through :func:`write_csv` or :func:`write_json`,
-which hold the one float policy: shortest round-trip ``repr``.
+:mod:`isodag.solvers` alone.  A lattice sweep fits each size's replicates,
+which share one order, through :func:`isodag.complexity.fit_replicates`, in
+few disjoint-union solves bitwise equal to separate fits; a random-design
+sweep draws a new order per replicate and fits each alone.  Reports
+serialize to CSV (fixed column order) or JSON (with a config echo);
+identical configs produce byte-identical files because every replicate owns
+a dedicated stream and replicates run, and aggregate, in ascending stream
+order on the calling thread.  Every file the package writes goes through
+:func:`write_csv` or :func:`write_json`, which hold the one float policy:
+shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .complexity import BoundParams, bound_eval, harmonic_sum, noise_stream, statdim_mc
+from .complexity import (BoundParams, bound_eval, fit_replicates, harmonic_sum, noise_stream,
+                         statdim_mc)
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
 from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
 from .signals import SignalSpec, generate_signal
@@ -156,7 +161,11 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
     """Lattice-design risk sweep.
 
     Replicate ``r`` of grid entry ``j`` draws its noise from stream
-    ``j * replicates + r``; with the zero signal it computes exactly the
+    ``j * replicates + r``.  A size's replicates are fitted by
+    :func:`fit_replicates`, as few disjoint-union solves as its vertex
+    budget allows; each fit is bitwise the one a separate ``lse_fit`` call
+    gives, so the streams, their order and the aggregation order are those
+    of one fit per replicate.  With the zero signal it computes exactly the
     same squared projection norms as ``statdim_mc`` on those streams, and
     the row's ``statdim_mean`` then holds that replicate mean, with
     ``risk_mean = statdim_mean / n`` by a single division.
@@ -180,11 +189,10 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
             theta0 = np.zeros(n)
         else:
             theta0 = generate_signal(config.signal, spec)
-        qs = np.empty(config.replicates)
-        for r in range(config.replicates):
-            eps = noise_stream(config.seed, j * config.replicates + r).standard_normal(n)
-            diff = lse_fit(dag, theta0 + eps).theta_hat - theta0
-            qs[r] = np.dot(w * diff, diff)
+        ys = (theta0 + noise_stream(config.seed, j * config.replicates + r).standard_normal(n)
+              for r in range(config.replicates))
+        diffs = (theta - theta0 for theta in fit_replicates(dag, ys))
+        qs = np.array([np.dot(w * diff, diff) for diff in diffs])
         per_n.append((n, qs, not np.any(theta0)))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_fixed"))

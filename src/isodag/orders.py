@@ -59,6 +59,14 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``: the dag cannot be changed through the
+    caller's array, and the caller's array stays writable."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def _topological_order(n: int, edges: np.ndarray) -> np.ndarray:
     """Kahn's algorithm; raises ValueError on a cycle."""
     indeg = [0] * n
@@ -116,15 +124,14 @@ class Dag:
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loop in edge list")
         self.n_vertices = n
-        self.cover_edges = edges
-        self.cover_edges.setflags(write=False)
+        self.cover_edges = _frozen_copy(edges)
         if labels is not None:
             labels = np.asarray(labels)
             if labels.ndim == 1:
                 labels = labels.reshape(n, 1)
             if labels.shape[0] != n:
                 raise ValueError("labels must have one row per vertex")
-            labels.setflags(write=False)
+            labels = _frozen_copy(labels)
         self.labels = labels
         if multiplicities is not None:
             multiplicities = np.asarray(multiplicities, dtype=float)
@@ -132,7 +139,7 @@ class Dag:
                 raise ValueError("multiplicities must have shape (n,)")
             if np.any(multiplicities <= 0):
                 raise ValueError("multiplicities must be positive")
-            multiplicities.setflags(write=False)
+            multiplicities = _frozen_copy(multiplicities)
         self.multiplicities = multiplicities
         # a sweep's covers are reduced and acyclic; any other edges are
         # checked on the closure, whose topological order rejects a cycle
@@ -251,8 +258,7 @@ class Dag:
                     parts.append(_num_repr(self.multiplicities[i]))
                 lines.append(" ".join(parts))
         lines.append("edges")
-        for u, v in self.cover_edges:
-            lines.append(f"{u} {v}")
+        lines.extend(f"{u} {v}" for u, v in self.cover_edges.tolist())
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -13,8 +13,8 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from isodag.cli import main
-from isodag.complexity import (gaussian_width_mc, harmonic_sum, noise_stream,
-                               statdim_mc)
+from isodag.complexity import (fit_replicates, gaussian_width_mc, harmonic_sum,
+                               noise_stream, statdim_mc)
 from isodag.design import DesignSampler, antichain_stats
 from isodag import experiments
 from isodag.experiments import ExperimentConfig, lattice_side, run_fixed_sweep
@@ -173,17 +173,19 @@ def test_criterion_06_cube_statdim_growth_exponent():
 
 
 def _sweep_with_fits(config: ExperimentConfig):
-    """Run ``run_fixed_sweep`` while recording every ``(dag, y, theta_hat)``
-    its solver returns, in call order (grid entry, then replicate)."""
+    """Run ``run_fixed_sweep`` while recording every replicate's
+    ``(dag, y, theta_hat)`` from its replicate engine, in order (grid
+    entry, then replicate)."""
     fits = []
 
-    def recording_fit(dag, y, **kwargs):
-        res = lse_fit(dag, y, **kwargs)
-        fits.append((dag, np.array(y), res.theta_hat))
-        return res
+    def recording_fits(dag, ys):
+        ys = [np.array(y) for y in ys]
+        thetas = list(fit_replicates(dag, ys))
+        fits.extend((dag, y, theta) for y, theta in zip(ys, thetas))
+        return thetas
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "lse_fit", recording_fit)
+        mp.setattr(experiments, "fit_replicates", recording_fits)
         report = run_fixed_sweep(config)
     return report, fits
 

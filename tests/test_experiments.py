@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from isodag.complexity import statdim_mc
+from isodag import complexity, experiments
+from isodag.complexity import MC_UNION_VERTICES, noise_stream, statdim_mc
 from isodag.design import DesignSampler
 from isodag.experiments import (
     RISK_COLUMNS,
@@ -23,7 +24,8 @@ from isodag.experiments import (
     table1,
 )
 from isodag.orders import LatticeSpec, build_lattice
-from isodag.signals import SignalSpec
+from isodag.signals import SignalSpec, generate_signal
+from isodag.solvers import is_chain, lse_fit
 
 
 def _cfg(**kw):
@@ -292,14 +294,87 @@ def test_table1_chain_column_matches_harmonic():
 
 
 def test_non_converging_replicate_stops_the_sweep(monkeypatch):
-    from isodag import experiments
     from isodag.solvers import ConvergenceError
 
     def fail(dag, y, **kw):
         raise ConvergenceError("forced", None)
 
+    # lattice sweeps fit through complexity's replicate engine
+    monkeypatch.setattr(complexity, "lse_fit", fail)
     monkeypatch.setattr(experiments, "lse_fit", fail)
     with pytest.raises(ConvergenceError):
         run_fixed_sweep(_cfg(n_grid=(4, 9), replicates=3))
     with pytest.raises(ConvergenceError):
         run_random_sweep(_cfg(design="random", n_grid=(10, 20), replicates=4))
+
+
+# ---------------------------------------------------------------------------
+# lattice sweeps fit a size's replicates as disjoint unions
+
+
+def _union_sweep_cases():
+    # A d=3 linear signal whose 512-vertex size leaves a short last union
+    # (4 copies per union: 4 + 2); a d=2 staircase (20 copies: 20 + 10); a
+    # chain, one fit per replicate; and a lattice above half the vertex
+    # budget, also one fit per replicate.
+    return [
+        _cfg(d=3, n_grid=(64, 512), replicates=6, seed=2,
+             signal=SignalSpec.linear_mean()),
+        _cfg(d=2, n_grid=(16, 100), replicates=30, seed=3,
+             signal=SignalSpec.staircase(0, (2, 4), (-1.0, 0.0, 1.0))),
+        _cfg(d=1, n_grid=(8, 40), replicates=12, seed=4,
+             signal=SignalSpec.linear_mean()),
+        _cfg(d=2, n_grid=(1089,), replicates=3, seed=5,
+             signal=SignalSpec.linear_mean()),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_sweep_fits_equal_separate_fits_bitwise(case, monkeypatch):
+    config = _union_sweep_cases()[case]
+    fitted = []
+
+    def recording_fits(dag, ys):
+        thetas = list(complexity.fit_replicates(dag, ys))
+        fitted.append(thetas)
+        return thetas
+
+    monkeypatch.setattr(experiments, "fit_replicates", recording_fits)
+    report = run_fixed_sweep(config)
+    assert len(fitted) == len(config.n_grid)
+    for j, (n, row, thetas) in enumerate(zip(config.n_grid, report.rows, fitted)):
+        spec = LatticeSpec((lattice_side(n, config.d),) * config.d)
+        dag = build_lattice(spec)
+        theta0 = generate_signal(config.signal, spec)
+        assert len(thetas) == config.replicates
+        qs = []
+        for r, theta in enumerate(thetas):
+            eps = noise_stream(config.seed, j * config.replicates + r).standard_normal(n)
+            alone = lse_fit(dag, theta0 + eps).theta_hat
+            assert np.array_equal(theta, alone), (n, r)
+            diff = alone - theta0
+            qs.append(np.dot(dag.weights() * diff, diff))
+        assert row.risk_mean == float(np.mean(qs)) / n
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_sweep_unions_stay_within_the_vertex_budget(case, monkeypatch):
+    config = _union_sweep_cases()[case]
+    sizes = []
+
+    def recording_fit(union, y):
+        sizes.append(union.n_vertices)
+        return lse_fit(union, y)
+
+    monkeypatch.setattr(complexity, "lse_fit", recording_fit)
+    run_fixed_sweep(config)
+    reps = config.replicates
+    for n in config.n_grid:
+        dag = build_lattice(LatticeSpec((lattice_side(n, config.d),) * config.d))
+        per_fit = 1 if is_chain(dag) else max(1, MC_UNION_VERTICES // n)
+        calls = math.ceil(reps / per_fit)
+        mine, sizes = sizes[:calls], sizes[calls:]
+        assert len(mine) == calls
+        assert sum(mine) == reps * n
+        assert all(size <= MC_UNION_VERTICES or size == n for size in mine)
+    assert sizes == []

@@ -103,6 +103,23 @@ def test_weights_default_and_multiplicities():
         Dag(2, [(0, 1)], multiplicities=[1.0, 0.0])
 
 
+def test_dag_freezes_copies_not_the_callers_arrays():
+    e = np.array([[0, 1]])
+    labels = np.array([[0.0, 0.0], [1.0, 1.0]])
+    mult = np.array([1.0, 2.0])
+    dag = Dag(2, e, labels=labels, multiplicities=mult)
+    for mine, its in ((e, dag.cover_edges), (labels, dag.labels),
+                      (mult, dag.multiplicities)):
+        assert mine.flags.writeable
+        assert not its.flags.writeable
+    e[0, 1] = 0
+    labels[1] = 5.0
+    mult[1] = 7.0
+    assert dag.cover_edges.tolist() == [[0, 1]]
+    assert dag.labels.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert dag.multiplicities.tolist() == [1.0, 2.0]
+
+
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_reduce_closure_round_trip(n, seed):
@@ -132,6 +149,14 @@ def test_text_round_trip(n, seed):
     assert np.array_equal(back.cover_edges, dag.cover_edges)
     assert np.allclose(back.labels.astype(float), dag.labels.astype(float))
     assert np.array_equal(back.weights(), dag.weights())
+
+
+def test_to_text_edge_lines_match_the_row_loop():
+    dag = build_design_dag(np.random.default_rng(3).random((300, 2)))
+    reference = "".join(f"{u} {v}\n" for u, v in dag.cover_edges)  # numpy scalars
+    head, edges = dag.to_text().split("edges\n")
+    assert edges == reference
+    assert head.count("\n") == 1 + dag.n_vertices
 
 
 def test_from_text_rejects_redundant_edges():
