@@ -20,10 +20,10 @@ the same size.  On an order that is planar dominance of its labels (one
 label column counts as the plane's diagonal) it uses patience sorting in
 O(n log n); the proof is the sweep that :func:`build_design_dag` built the
 order with, or one sweep run and cached on first use for any other order.
-On every other order it runs a bipartite matching over the n x n
-reachability matrix, read with scipy's graph routines: the Konig vertex
-cover is one breadth-first search and the chains are the connected
-components of the matching.
+On every other order it runs one maximum flow on the cover edges (Dilworth
+via Ford & Fulkerson): the antichain and the splits are read off the
+minimal minimum cut, and the chains off the flow.  No route needs the n x n
+reachability matrix.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -37,8 +37,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  maximum_bipartite_matching)
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 LATTICE_VERTEX_CAP = 1_000_000
 
@@ -201,8 +200,8 @@ class Dag:
     def reachability(self) -> np.ndarray:
         """Strict reachability matrix: ``R[u, v]`` iff ``u < v``.
 
-        The matrix is cached; do not mutate it.  Quadratic memory -- intended
-        for the desk scales where antichain and oracle computations run.
+        Built from the cover edges on first use and cached; do not mutate it.
+        Quadratic memory, for small orders; no antichain route reads it.
         """
         return self._reach
 
@@ -523,8 +522,7 @@ def build_design_dag(points) -> Dag:
       :func:`maximum_antichain` does not sweep again.  Reachability is
       built from the cover edges only if someone asks for it.
     * ``d >= 3``: the dense n x n dominance matrix, reduced with an
-      O(n^3) float32 matrix product; the matrix is kept as the cached
-      reachability.
+      O(n^3) float32 matrix product and then dropped.
 
     Both give the same cover edges in the same row-major ``(u, v)`` order.
     """
@@ -539,7 +537,7 @@ def build_design_dag(points) -> Dag:
     mult = np.bincount(inverse)
     uniq = pts[firsts]
     n = uniq.shape[0]
-    le = planar = None
+    planar = None
     if uniq.shape[1] <= 2:
         planar = uniq[:, [0, -1]]
         cover = _planar_covers(planar)
@@ -554,11 +552,7 @@ def build_design_dag(points) -> Dag:
     dag = Dag(n, cover, labels=uniq,
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
-    if le is not None:
-        dag.__dict__["_reach"] = le  # reuse the dominance matrix as the cached closure
-        le.setflags(write=False)
-    else:
-        dag.__dict__["_planar_points"] = planar  # the covers are this sweep's
+    dag.__dict__["_planar_points"] = planar  # the covers are this sweep's, if any
     return dag
 
 
@@ -588,10 +582,10 @@ class AntichainReport:
 
     ``antichain`` is a sorted vertex id array W; ``chain_cover`` is a vertex
     partition into ``len(antichain)`` chains witnessing maximality (``None``
-    when the report was built from a known antichain without running the
-    matching); ``upper_split`` / ``lower_split`` partition the remaining
-    vertices into those strictly above some element of W and the rest, with
-    no element of W above anything in ``upper_split``.
+    when the report was built from a known antichain without running
+    :func:`maximum_antichain`); ``upper_split`` / ``lower_split`` partition
+    the remaining vertices into those strictly above some element of W and
+    the rest, with no element of W above anything in ``upper_split``.
     """
 
     antichain: np.ndarray
@@ -614,16 +608,22 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       decreasing run of y, and patience sorting finds a longest one in
       O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).
       The splits come from the staircase of the antichain.
-    * Matching route, for every other order: Dilworth's theorem on the split
-      bipartite graph.  A maximum matching on ``{v_out} x {v_in}`` with an
-      edge per strictly comparable pair yields a minimum chain cover of size
-      ``n - |matching|``; the Konig vertex cover complement, found by one
-      breadth-first search over the alternating graph, recovers an antichain
-      of that size.  It needs the n x n reachability matrix.
+    * Flow route, for every other order: Dilworth's theorem by one maximum
+      flow on the split cover network (Ford & Fulkerson 1962, ch. II): arcs
+      source -> ``v_out`` and ``v_in`` -> sink of capacity 1, ``u_out`` ->
+      ``v_in`` per cover edge and ``v_in`` -> ``v_out`` of capacity n.  The
+      width is n minus the flow.  The capacity-n arcs never saturate, so the
+      nodes S reached from the source in the residual graph are closed
+      upward.  The antichain W is the vertices with ``v_out`` in S and
+      ``v_in`` not; S is the minimal minimum cut, hence the up-closure of
+      W's out-nodes, so ``upper_split`` is the vertices with ``v_in`` in S and
+      ``lower_split`` those with ``v_out`` outside it.  Each unit of flow
+      links the vertex it leaves the source at to the one it enters the
+      sink at, and the links make the chains.
     """
     pts = dag._planar_points
     if pts is None:
-        return _matching_antichain(dag)
+        return _flow_antichain(dag)
     return _patience_antichain(pts)
 
 
@@ -668,45 +668,59 @@ def _patience_antichain(pts: np.ndarray) -> AntichainReport:
                            upper_split=upper, lower_split=lower)
 
 
-def _matching_antichain(dag: Dag) -> AntichainReport:
-    """The matching route of :func:`maximum_antichain`, for any order."""
-    n = dag.n_vertices
-    reach = dag.reachability()
-    rows, cols = np.nonzero(reach)
-    graph = csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
-    match_of_col = maximum_bipartite_matching(graph, perm_type="row")
-    matched = np.flatnonzero(match_of_col >= 0)
-    free = np.setdiff1d(np.arange(n), match_of_col[matched])   # unmatched rows
-    # Konig: rows are nodes 0..n-1, columns n..2n-1 and 2n a super-source.
-    # From the unmatched rows, alternate along comparable pairs row -> column
-    # and matching edges column -> row; the antichain is the rows reached
-    # whose own column was not.  The rows' lists are graph's, so the CSR
-    # arrays are laid out directly instead of sorting the pairs again.
-    nnz = graph.indptr[-1]
-    alternating = csr_matrix(
-        (np.ones(nnz + matched.size + free.size, dtype=np.int8),
-         np.r_[n + graph.indices, match_of_col[matched], free],
-         np.r_[graph.indptr, nnz + np.cumsum(match_of_col >= 0),
-               nnz + matched.size + free.size]),
-        shape=(2 * n + 1, 2 * n + 1))
-    reached = np.zeros(2 * n + 1, dtype=bool)
-    reached[breadth_first_order(alternating, 2 * n, return_predecessors=False)] = True
-    in_w = reached[:n] & ~reached[n:2 * n]
-    antichain = np.flatnonzero(in_w)
+def minimal_cut(net: csr_matrix, src: int, snk: int) -> tuple[csr_matrix, np.ndarray]:
+    """One maximum flow (Dinic) on the integer capacities ``net``, and the
+    nodes reached from ``src`` in its residual graph as a boolean mask: the
+    source side of the minimal minimum cut, whatever maximum flow is found."""
+    flow = maximum_flow(net, src, snk, method="dinic").flow
+    residual = net - flow
+    residual.eliminate_zeros()
+    reached = np.zeros(net.shape[0], dtype=bool)
+    reached[breadth_first_order(residual, src, return_predecessors=False)] = True
+    return flow, reached
 
-    # chains: the matching edges link each chain; list them by head vertex
-    links = csr_matrix((np.ones(matched.size), (match_of_col[matched], matched)),
-                       shape=(n, n))
-    chain_of = connected_components(links, directed=False)[1]
+
+def _flow_antichain(dag: Dag) -> AntichainReport:
+    """The flow route of :func:`maximum_antichain`, for any order."""
+    n = dag.n_vertices
+    eu, ev = dag.cover_edges[:, 0], dag.cover_edges[:, 1]
+    ids = np.arange(n)
+    src, snk = 2 * n, 2 * n + 1   # node v is v_out, node n + v is v_in
+    net = csr_matrix(
+        (np.r_[np.ones(n), np.full(eu.size + n, n), np.ones(n)].astype(np.int32),
+         (np.r_[np.full(n, src), eu, n + ids, n + ids],
+          np.r_[ids, n + ev, ids, np.full(n, snk)])),
+        shape=(2 * n + 2, 2 * n + 2))
+    flow, reached = minimal_cut(net, src, snk)
+
+    # chains: carry each unit of flow up the order from the vertex it left the
+    # source at to the one it enters the sink at (row v_out's flow is positive
+    # on v's cover arcs only), and link the two
+    from_src = (flow[src, :n].toarray().ravel() > 0).tolist()
+    to_snk = (flow[n:2 * n, snk].toarray().ravel() > 0).tolist()
+    ptr, head, amount = flow.indptr.tolist(), flow.indices.tolist(), flow.data.tolist()
+    carried: list[list[int]] = [[] for _ in range(n)]   # start vertices of units at v_in
+    links = []
+    for v in dag.topo_order.tolist():
+        units = carried[v]
+        if to_snk[v]:
+            links.append((units.pop(), v))
+        if from_src[v]:
+            units.append(v)
+        for w, k in zip(head[ptr[v]:ptr[v + 1]], amount[ptr[v]:ptr[v + 1]]):
+            if k > 0:
+                carried[w - n] += units[-k:]
+                del units[-k:]
+    u, v = np.asarray(links, dtype=np.int64).reshape(-1, 2).T
+    chain_of = connected_components(csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)),
+                                    directed=False)[1]
     by_chain = dag.topo_order[np.argsort(chain_of[dag.topo_order], kind="stable")]
     starts = np.unique(chain_of[by_chain], return_index=True)[1]
     chains = np.split(by_chain, starts[1:])
     chains = [chains[i] for i in np.argsort(by_chain[starts])]
-
-    above = reach[antichain].any(axis=0) & ~in_w
-    return AntichainReport(antichain=antichain, chain_cover=chains,
-                           upper_split=np.flatnonzero(above),
-                           lower_split=np.flatnonzero(~above & ~in_w))
+    out, up = reached[:n], reached[n:2 * n]
+    return AntichainReport(antichain=np.flatnonzero(out & ~up), chain_cover=chains,
+                           upper_split=np.flatnonzero(up), lower_split=np.flatnonzero(~out))
 
 
 def level_cardinalities(spec: LatticeSpec) -> np.ndarray:
@@ -748,8 +762,8 @@ def level_antichain_report(spec: LatticeSpec, level="max") -> AntichainReport:
     """AntichainReport for a coordinate-sum antichain, splits by sum comparison.
 
     On a full lattice the vertices with coordinate sum above the level are
-    exactly those above some antichain element, so this matches the generic
-    reachability split without running the matching.  ``chain_cover`` is left
+    exactly those above some antichain element, so this gives the splits of
+    :func:`maximum_antichain` without running it.  ``chain_cover`` is left
     ``None``.
     """
     ids = level_antichain(spec, level)

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression, nnls
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
+from scipy.sparse.csgraph import connected_components
 
-from .orders import Dag, upper_set_masks
+from .orders import Dag, minimal_cut, upper_set_masks
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 100_000
@@ -262,11 +262,7 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
              (np.r_[np.full(up.size, src), down, eu[ie]],
               np.r_[up, np.full(down.size, snk), ev[ie]])),
             shape=(n + 2, n + 2))
-        residual = net - maximum_flow(net, src, snk, method="dinic").flow
-        residual.eliminate_zeros()
-        upper = np.zeros(n + 2, dtype=bool)
-        upper[breadth_first_order(residual, src, return_predecessors=False)] = True
-        upper = upper[:n] & on
+        upper = minimal_cut(net, src, snk)[1][:n] & on
 
         size = np.bincount(label, minlength=k)
         usize = np.bincount(label[upper], minlength=k)
