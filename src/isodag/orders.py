@@ -227,10 +227,8 @@ class Dag:
         # the constructor checks range and self-loops on the raw edges, and
         # reading their closure runs Kahn's pass, which rejects a cycle
         reach = cls(n, edges, _skip_reduction_check=True).reachability()
-        dag = cls(n, _transitive_reduction(reach), labels=labels,
-                  multiplicities=multiplicities, _skip_reduction_check=True)
-        dag.__dict__["_reach"] = reach  # reducing the edges keeps their closure
-        return dag
+        return cls(n, _transitive_reduction(reach), labels=labels,
+                   multiplicities=multiplicities, _skip_reduction_check=True)
 
     # -- serialization -----------------------------------------------------
 

@@ -23,10 +23,10 @@ routes to the same projection live here:
   lower sets, exponential in n; the reference oracle for small problems.
 
 :func:`verify_projection_certificate` checks an alleged projection against
-the KKT conditions of the cone program, recovering nonnegative edge
-multipliers by nonnegative least squares.  Like the solvers, it works on the
-data rescaled by an exact power of two, so it neither under- nor overflows
-on data from 1e-300 to 1e300.
+the KKT conditions of the cone program, recovering nonnegative multipliers
+on the tight cover edges by one sparse linear program (HiGHS), at any size.
+Like the solvers, it works on the data rescaled by an exact power of two, so
+it neither under- nor overflows on data from 1e-300 to 1e300.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression, nnls
-from scipy.sparse import csr_matrix
+from scipy.optimize import isotonic_regression, linprog
+from scipy.sparse import csr_matrix, eye, hstack
 from scipy.sparse.csgraph import connected_components
 
 from .orders import Dag, minimal_cut, upper_set_masks
@@ -108,8 +108,10 @@ class DualCertificate:
 
     At the exact projection the stationarity condition reads
     ``W (y - theta) = sum_e lambda_e (e_u - e_v)`` with ``lambda >= 0`` and
-    ``lambda_e (theta_u - theta_v) = 0`` per edge; ``reconstruction_error``
-    is the weighted norm of what nonnegative least squares could not match.
+    ``lambda_e (theta_u - theta_v) = 0`` per edge.  The multipliers come from
+    a sparse linear program over the tight edges and are zero on the others;
+    ``reconstruction_error`` is the weighted norm of what they leave of the
+    residual, never below the best any nonnegative multipliers achieve.
     Both are in the data's units.
     """
 
@@ -223,8 +225,13 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     the exact projection, both only when closure gains are that close: a
     positive closure gain below about ``|B|`` steps can be missed, leaving
     the block at its mean, and a cut with positive gain that falls short of
-    the maximum by less than that can be taken.  ``iterations`` counts
-    levels: one for isotonic or constant data.
+    the maximum by less than that can be taken.  A measured miss: on the
+    40^3 lattice with ``y = default_rng(0).standard_normal(64000)``, a level
+    set of 8969 vertices has an upper set of float gain 9.14e-5 and is 9.14e-5
+    off Dykstra in sup-norm; the fit passes the certificate at its default
+    tolerance (relative reconstruction 5.1e-7), and re-solving the level set
+    returns it bitwise.  ``iterations`` counts levels: one for isotonic or
+    constant data.
     """
     w = problem.weights
     n = problem.dag.n_vertices
@@ -491,12 +498,14 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
     no sum of squares under- or overflows.  Accepts iff (a) ``theta_hat`` is
     isotonic within ``tol``, (b) the weighted inner product
     ``<y - theta_hat, theta_hat>_w`` vanishes within ``tol * |y|_w^2``, (c)
-    nonnegative least squares reconstructs the scaled residual from the
+    nonnegative multipliers reconstruct the scaled residual from the
     cover-edge difference generators within ``tol * |y|_w``, and (d) every
-    multiplier above ``tol`` sits on an edge that is tight within ``tol``.
-    The tolerances of (a) and (d) are thus relative to the data's binary
-    magnitude.  The multipliers, the reconstruction error and any reported
-    excess are in the data's units.
+    multiplier sits on an edge tight within ``tol``.  The multipliers solve
+    one sparse linear program on ``[W^{-1/2} A_tight, I, -I]``, one column
+    ``e_u - e_v`` per tight edge, minimizing the L1 norm of the slack, so
+    (d) holds by construction.  The tolerances of (a) and (d) are thus
+    relative to the data's binary magnitude.  The multipliers, the
+    reconstruction error and any reported excess are in the data's units.
 
     Raises
     ------
@@ -524,30 +533,26 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
         raise CertificateError("orthogonality", ip_gap / unit / unit,
                                tol * ny2 / unit / unit)
 
-    # stationarity: W(y - theta) = A lam with A = [e_u - e_v]_e, lam >= 0;
-    # solve min |W^{1/2}(y - theta) - W^{-1/2} A lam| by Lawson-Hanson NNLS
-    m = edges.shape[0]
+    # stationarity: W^{1/2}(y - theta) = W^{-1/2} A lam + s+ - s-, lam >= 0,
+    # minimizing sum(s+ + s-)
+    tight = np.flatnonzero(gaps >= -tol)
+    n, mt = ys.size, tight.size
     sqw = np.sqrt(w)
     target = sqw * (ys - ts)
-    if m == 0:
-        lam = np.zeros(0)
-        rnorm = float(np.linalg.norm(target))
-    else:
-        B = np.zeros((ys.size, m))
-        cols = np.arange(m)
-        np.add.at(B, (edges[:, 0], cols), 1.0 / sqw[edges[:, 0]])
-        np.add.at(B, (edges[:, 1], cols), -1.0 / sqw[edges[:, 1]])
-        lam, rnorm = nnls(B, target)
+    eu, ev = edges[tight, 0], edges[tight, 1]
+    B = csr_matrix((np.r_[1.0 / sqw[eu], -1.0 / sqw[ev]],
+                    (np.r_[eu, ev], np.tile(np.arange(mt), 2))), shape=(n, mt))
+    eye_n = eye(n, format="csr")
+    lp = linprog(np.r_[np.zeros(mt), np.ones(2 * n)], A_eq=hstack([B, eye_n, -eye_n]),
+                 b_eq=target, method="highs")
+    lam = np.zeros(edges.shape[0])
+    if lp.x is not None:
+        lam[tight] = np.maximum(lp.x[:mt], 0.0)
+    # judged on what the multipliers leave, never on the LP's own residual
+    rnorm = float(np.linalg.norm(target - B @ lam[tight]))
     if rnorm > tol * ny:
-        raise CertificateError("reconstruction", float(rnorm) / unit, tol * ny / unit)
-
-    active = lam > tol
-    if np.any(active):
-        slack = float(np.max(np.abs(gaps[active])))
-        if slack > tol:
-            raise CertificateError("complementary_slackness", slack / unit, tol / unit)
-    return DualCertificate(edge_multipliers=lam / unit,
-                           reconstruction_error=float(rnorm) / unit)
+        raise CertificateError("reconstruction", rnorm / unit, tol * ny / unit)
+    return DualCertificate(edge_multipliers=lam / unit, reconstruction_error=rnorm / unit)
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,19 @@ def test_version_is_written_once(capsys):
     assert project["version"] == isodag.__version__
 
 
-def test_fit_synthetic_lattice(tmp_path, capsys):
+@pytest.mark.parametrize("n1", [3, 46])
+def test_fit_synthetic_lattice(tmp_path, capsys, n1):
+    # 46^2 = 2116 vertices: every fit is certified, whatever its size
     out = tmp_path / "fit.csv"
-    code = main(["fit", "--n1", "3", "--d", "2", "--seed", "1",
+    code = main(["fit", "--n1", str(n1), "--d", "2", "--seed", "1",
                  "--signal", "linear_mean", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    assert "certificate_reconstruction=" in text
+    assert "certificate_reconstruction=" in text and "skipped" not in text
     assert "empirical risk vs signal:" in text
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["index", "x_1", "x_2", "y", "theta_hat"]
-    assert len(rows) == 10
+    assert len(rows) == n1 * n1 + 1
     fitted = [float(r[4]) for r in rows[1:]]
     assert math.isfinite(sum(fitted))
 

@@ -127,6 +127,7 @@ def test_reduce_closure_round_trip(n, seed):
     rng = np.random.default_rng(seed)
     edges = random_dag_edges(rng, n)
     dag = Dag.from_edges(n, edges)
+    assert "_reach" not in dag.__dict__   # the reduced closure is not kept
     reach = dag.reachability()
     # closure computed independently by Floyd-Warshall on the original edges
     closure = np.zeros((n, n), dtype=bool)

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from isodag.complexity import noise_stream
 from isodag.design import DesignSampler, draw_design
 from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
-                           disjoint_copies, is_isotonic)
+                           disjoint_copies, is_isotonic, merge_duplicates)
 from isodag.signals import SignalSpec, generate_signal
 from isodag.solvers import (
     CertificateError,
@@ -135,13 +135,19 @@ def test_dykstra_matches_oracle_weighted():
 
 def test_certificate_accepts_true_projection():
     rng = np.random.default_rng(3)
-    dag = build_lattice(LatticeSpec((3, 3)))
+    lattice = build_lattice(LatticeSpec((3, 3)))
     y = rng.standard_normal(9)
-    res = lse_fit(dag, y)
-    cert = verify_projection_certificate(IsotonicProblem(dag, y), res.theta_hat)
-    assert cert is not None
-    assert cert.reconstruction_error < 1e-6
-    assert np.all(cert.edge_multipliers >= 0)
+    # 6000 points on a 0.01 grid merge into more than 2000 weighted vertices
+    pts = np.round(rng.random((6000, 2)), 2)
+    design = build_design_dag(pts)
+    assert design.n_vertices > 2000 and design.weights().max() > 1
+    _, idx = merge_duplicates(pts)
+    ybar = np.bincount(idx, pts.sum(axis=1) + rng.standard_normal(6000)) / design.weights()
+    for dag, y in ((lattice, y), (design, ybar)):
+        prob = IsotonicProblem(dag, y)
+        cert = verify_projection_certificate(prob, lse_fit(dag, y).theta_hat)
+        assert cert.reconstruction_error <= 1e-12 * np.sqrt(np.dot(prob.weights * y, y))
+        assert np.all(cert.edge_multipliers >= 0)
 
 
 def test_certificate_rejects_non_projection():
@@ -156,6 +162,12 @@ def test_certificate_rejects_non_projection():
     with pytest.raises(CertificateError) as exc:
         verify_projection_certificate(prob, np.array([1.0, 0.0, 0.0, 0.0]))
     assert exc.value.condition == "isotonic"
+    # isotonic and orthogonal to the residual, but not the projection [0.5, 0.5]:
+    # no nonnegative multiplier on the one edge rebuilds the residual [1, 0]
+    with pytest.raises(CertificateError) as exc:
+        verify_projection_certificate(IsotonicProblem(_chain(2), np.array([1.0, 0.0])),
+                                      np.zeros(2))
+    assert exc.value.condition == "reconstruction"
 
 
 def test_certificate_on_exact_data():
