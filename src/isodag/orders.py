@@ -3,7 +3,7 @@
 A partial order on ``{0, ..., n-1}`` is stored as a :class:`Dag` holding the
 cover edges (the transitive reduction).  A topological order and
 reachability -- the full order relation -- are computed when first read and
-cached.
+cached, and so are the cover edges of a design order of dimension <= 2.
 
 Two constructors cover the cases used throughout the package:
 
@@ -11,15 +11,17 @@ Two constructors cover the cases used throughout the package:
   where ``u <= v`` iff the inequality holds coordinatewise.
 * :func:`build_design_dag` builds the induced order on a finite set of points
   in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  For
-  ``d <= 2`` it sweeps the sorted points of the plane (a line's points as
-  the diagonal ``(x, x)``) and needs no n x n matrix; higher dimensions use
-  the dense dominance matrix.
+  ``d <= 2`` it stores the points of the plane (a line's points as the
+  diagonal ``(x, x)``), and a sweep of them gives the cover edges when they
+  are first read, with no n x n matrix; higher dimensions use the dense
+  dominance matrix.
 
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
 the same size.  On an order that is planar dominance of its labels (one
 label column counts as the plane's diagonal) it uses patience sorting in
-O(n log n); the proof is the sweep that :func:`build_design_dag` built the
-order with, or one sweep run and cached on first use for any other order.
+O(n log n); the proof is the points that :func:`build_design_dag` built the
+order from, whose cover edges it never sweeps, or one sweep run and cached
+on first use for any other order.
 On every other order it runs one maximum flow on the cover edges (Dilworth
 via Ford & Fulkerson): the antichain and the splits are read off the
 minimal minimum cut, and the chains off the flow.  No route needs the n x n
@@ -106,10 +108,13 @@ class Dag:
 
     Instances are immutable after construction and safe to share across
     concurrent readers.  The topological order, reachability and the planar
-    proof are computed when first read and cached.  The constructor checks
-    that the edges are reduced and acyclic: by one planar sweep when the
-    labels' dominance order has exactly these cover edges, and otherwise
-    on the n x n reachability matrix.
+    proof are computed when first read and cached; so are the cover edges
+    of an order that :func:`build_design_dag` built from points of the
+    plane.  Two concurrent first reads may each compute a value, and both
+    get the same one.  The constructor checks that the edges are reduced
+    and acyclic: by one planar sweep when the labels' dominance order has
+    exactly these cover edges, and otherwise on the n x n reachability
+    matrix.
     """
 
     def __init__(self, n_vertices, cover_edges, labels=None, multiplicities=None,
@@ -149,6 +154,19 @@ class Dag:
     # -- derived structure -------------------------------------------------
 
     @cached_property
+    def cover_edges(self) -> np.ndarray:
+        """The cover edges as a read-only ``(m, 2)`` int64 array.
+
+        The constructor stores the edges it is given.  An order that
+        :func:`build_design_dag` built from points of the plane has none
+        stored: the planar sweep of its points gives them, in row-major
+        ``(u, v)`` order, when they are first read (cached).
+        """
+        edges = _planar_covers(self._planar_points)
+        edges.setflags(write=False)
+        return edges
+
+    @cached_property
     def topo_order(self) -> np.ndarray:
         """A topological order of the vertices, by Kahn's algorithm (cached).
 
@@ -186,7 +204,8 @@ class Dag:
         column ``x`` is read as the point ``(x, x)``) and the planar sweep's
         covers of those points equal the cover edges, in count and as a
         set; otherwise ``None``.  :func:`build_design_dag` stores the points
-        it swept, so its orders are never swept twice.
+        that its cover edges are swept from, so its orders are never swept
+        to prove them.
         """
         labels = self.labels
         if labels is None or labels.shape[1] not in (1, 2) or labels.dtype.kind not in "iuf":
@@ -495,13 +514,21 @@ def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
     of its point in ``firsts``, so ``points[firsts][inverse]`` equals
     ``points`` and ``bincount(inverse)`` holds the multiplicities.  Rows
     merge when they are equal as tuples of floats, so ``-0.0`` and ``0.0``
-    are one point.
+    are one point and a row holding ``nan`` merges with none.
     """
-    seen: dict[tuple, int] = {}
-    inverse = np.empty(len(points), dtype=np.int64)
-    for i, row in enumerate(map(tuple, np.asarray(points).tolist())):
-        inverse[i] = seen.setdefault(row, len(seen))
-    return np.unique(inverse, return_index=True)[1], inverse
+    pts = np.asarray(points)
+    # the stable sort puts equal rows next to each other, each group in
+    # input order, so a group's first row is its first occurrence
+    order = np.lexsort(pts.T)
+    rows = pts[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    firsts = order[starts]
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    return np.sort(firsts), inverse
 
 
 def build_design_dag(points) -> Dag:
@@ -516,9 +543,11 @@ def build_design_dag(points) -> Dag:
     * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, taken in
       chunks of rows, so memory is O(n) per row and no n x n matrix is made.
       A point ``x`` of the line is swept as ``(x, x)``; the labels keep one
-      column.  The swept points are stored as the dag's planar proof, so
-      :func:`maximum_antichain` does not sweep again.  Reachability is
-      built from the cover edges only if someone asks for it.
+      column.  Only the points are stored, as the dag's planar proof; the
+      sweep runs when ``cover_edges`` is first read, so
+      :func:`maximum_antichain` and ``design.antichain_stats`` never run it.
+      Reachability is built from the cover edges only if someone asks for
+      it.
     * ``d >= 3``: the dense n x n dominance matrix, reduced with an
       O(n^3) float32 matrix product and then dropped.
 
@@ -537,8 +566,7 @@ def build_design_dag(points) -> Dag:
     n = uniq.shape[0]
     planar = None
     if uniq.shape[1] <= 2:
-        planar = uniq[:, [0, -1]]
-        cover = _planar_covers(planar)
+        planar, cover = uniq[:, [0, -1]], ()
     else:
         # dominance is already transitive: closure == componentwise comparison
         le = np.ones((n, n), dtype=bool)
@@ -550,7 +578,9 @@ def build_design_dag(points) -> Dag:
     dag = Dag(n, cover, labels=uniq,
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
-    dag.__dict__["_planar_points"] = planar  # the covers are this sweep's, if any
+    if planar is not None:
+        del dag.__dict__["cover_edges"]   # this sweep's covers, run when first read
+    dag.__dict__["_planar_points"] = planar
     return dag
 
 
@@ -600,8 +630,9 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       is read as the point ``(x, x)``, so chains take this route) and the
       dag's cover edges are the planar sweep's covers of those points.  The
       proof is the dag's cached ``_planar_points``: :func:`build_design_dag`
-      stores the points it swept, and any other order is swept once on
-      first use.
+      stores the points whose sweep gives its cover edges, and this route
+      reads neither the sweep nor the edges; any other order is swept once
+      on first use.
       With the points in ``(x, y)`` order, an antichain is a strictly
       decreasing run of y, and patience sorting finds a longest one in
       O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).

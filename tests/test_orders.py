@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from isodag import cli, orders
 from isodag.complexity import statdim_mc
+from isodag.design import DesignSampler, antichain_stats
 from isodag.orders import (
     Dag,
     LatticeSpec,
@@ -32,6 +33,7 @@ from isodag.orders import (
     merge_duplicates,
     upper_set_masks,
 )
+from isodag.solvers import lse_fit
 
 
 def random_dag_edges(rng, n, p=0.3):
@@ -351,6 +353,31 @@ def test_design_dag_rejects_nan_points():
         build_design_dag([[0.2, 0.3], [np.nan, 0.5]])
 
 
+def dict_merge_duplicates(points):
+    """merge_duplicates as a loop over rows keyed by their float tuples."""
+    seen = {}
+    inverse = np.empty(len(points), dtype=np.int64)
+    for i, row in enumerate(map(tuple, np.asarray(points).tolist())):
+        inverse[i] = seen.setdefault(row, len(seen))
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_merge_duplicates_matches_the_dict_loop(n, d, seed):
+    """Bitwise the loop's ``(firsts, inverse)`` on points snapped to a coarse
+    grid, with signed zeros, nans and repeated rows."""
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.random((n, d)) * 3) / 3
+    pts[rng.random((n, d)) < 0.3] *= -1.0   # -0.0 where the point is 0
+    pts[rng.random((n, d)) < 0.05] = np.nan
+    pts = np.concatenate([pts, pts[rng.integers(0, max(n, 1), size=n // 2)]])
+    for mine, its in zip(merge_duplicates(pts), dict_merge_duplicates(pts)):
+        assert mine.dtype == its.dtype
+        assert np.array_equal(mine, its)
+
+
 def test_merge_duplicates_round_trip_and_weights():
     pts = np.array([[0.5, 0.2], [-0.0, 1.0], [0.5, 0.2], [0.3, 0.3],
                     [0.0, 1.0], [0.3, 0.3], [0.5, 0.2]])
@@ -512,7 +539,11 @@ def test_planar_route_matches_dense_reference(n, grid, seed):
     uniq = dag.labels
     le = (uniq[:, None, :] <= uniq[None, :, :]).all(axis=2)
     np.fill_diagonal(le, False)
-    assert np.array_equal(dag.cover_edges, _transitive_reduction(le))
+    assert "cover_edges" not in dag.__dict__   # swept when first read
+    expected = _transitive_reduction(le)
+    assert dag.cover_edges.dtype == expected.dtype
+    assert np.array_equal(dag.cover_edges, expected)
+    assert not dag.cover_edges.flags.writeable
     report = maximum_antichain(dag)
     assert len(report.antichain) == len(reference_matching_antichain(dag)[0])
     assert_valid_antichain_report(dag, report)
@@ -591,12 +622,37 @@ def test_line_orders_take_the_planar_route(case, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(300, 2), (300,)])
 def test_design_orders_are_swept_once(shape, monkeypatch):
-    """build_design_dag's sweep is the planar proof maximum_antichain uses."""
+    """build_design_dag's points are the planar proof maximum_antichain uses,
+    so antichains take no sweep; the cover edges are swept from the points
+    once, on their first read."""
     sweeps = _spy(monkeypatch, "_planar_covers")
+    d = len(shape)
+    antichain_stats(d, shape[0], DesignSampler.uniform(d), replicates=3, seed=2)
     dag = build_design_dag(np.random.default_rng(2).random(shape))
     report = maximum_antichain(dag)
+    assert sweeps == []
+    edges = dag.cover_edges
     assert len(sweeps) == 1
+    assert dag.cover_edges is edges and len(sweeps) == 1
     assert_valid_antichain_report(dag, report)
+
+
+@pytest.mark.parametrize("shape", [(400, 2), (400,)])
+def test_lazy_design_edges_fit_and_serialize_as_given_ones(shape):
+    """A design order whose edges are swept on first read fits and
+    serializes bitwise as the same order with the sweep's edges handed to
+    the constructor, as the builder made it before the sweep was deferred."""
+    rng = np.random.default_rng(8)
+    dag = build_design_dag(np.round(rng.random(shape) * 30) / 30)   # repeats carry weight
+    given_edges = Dag(dag.n_vertices, orders._planar_covers(dag._planar_points),
+                      labels=dag.labels, multiplicities=dag.multiplicities)
+    y = dag.labels.sum(axis=1) + rng.standard_normal(dag.n_vertices)
+    fit = lse_fit(dag, y)   # the fit makes the first read of the edges
+    expected = lse_fit(given_edges, y)
+    assert fit.theta_hat.tobytes() == expected.theta_hat.tobytes()
+    assert fit.residual.tobytes() == expected.residual.tobytes()
+    assert dag.to_text() == given_edges.to_text()
+    assert dag.cover_edges.tobytes() == given_edges.cover_edges.tobytes()
 
 
 def test_planar_antichain_at_scale():
