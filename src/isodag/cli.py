@@ -217,8 +217,8 @@ def _cmd_fit(args) -> int:
         points, y = arr[:, 1:-1], arr[:, -1]
         if points.shape[1] != args.d:
             raise ValueError(f"--d {args.d} but file has {points.shape[1]} coordinates")
-        dag = build_design_dag(points)
-        _, idx = merge_duplicates(points)
+        firsts, idx = merge_duplicates(points)
+        dag = build_design_dag(points, merged=(firsts, idx))
         ybar = np.bincount(idx, weights=y) / dag.weights()
         coords = points
     else:

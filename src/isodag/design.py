@@ -41,8 +41,10 @@ class DesignSampler:
     M0: float
 
     def __post_init__(self):
-        if self.d < 1 or self.level < 0:
-            raise ValueError("need d >= 1 and level >= 0")
+        if self.d < 1:
+            raise ValueError(f"need d >= 1, got d={self.d}")
+        if self.level < 0:
+            raise ValueError(f"need level >= 0, got level={self.level}")
         vals = np.asarray(self.cell_values, dtype=float)
         side = 2 ** self.level
         if vals.size != side ** self.d:

@@ -237,8 +237,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             X = draw_design(rng, sampler, n)
             fvals = np.zeros(n) if f0 is None else np.asarray(f0(X), dtype=float)
             y = fvals + rng.standard_normal(n)
-            dag = build_design_dag(X)
             firsts, inverse = merge_duplicates(X)
+            dag = build_design_dag(X, merged=(firsts, inverse))
             w = dag.weights()
             theta = lse_fit(dag, np.bincount(inverse, weights=y) / w).theta_hat
             if config.mc_points:

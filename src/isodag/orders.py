@@ -25,7 +25,9 @@ on first use for any other order.
 On every other order it runs one maximum flow on the cover edges (Dilworth
 via Ford & Fulkerson): the antichain and the splits are read off the
 minimal minimum cut, and the chains off the flow.  No route needs the n x n
-reachability matrix.
+reachability matrix.  Either route computes the antichain at once and
+builds the chain cover and the splits when they are first read, so a
+caller that wants the width alone pays for neither.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -531,12 +533,14 @@ def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(firsts), inverse
 
 
-def build_design_dag(points) -> Dag:
+def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None) -> Dag:
     """Partial order induced on points of ``[0, 1]^d`` by coordinatewise <=.
 
     Equal points are merged by :func:`merge_duplicates` into one vertex
     carrying a multiplicity weight.  Vertices keep the first-occurrence
-    order of the input.  Non-finite coordinates are rejected.
+    order of the input.  Non-finite coordinates are rejected.  A caller
+    that needs the merge itself, to average responses per vertex, passes
+    ``merged=merge_duplicates(points)`` and the builder does not merge again.
 
     The cover edges are built by one of two routes, chosen by ``d``:
 
@@ -560,7 +564,7 @@ def build_design_dag(points) -> Dag:
         raise ValueError("points must be a nonempty (n, d) array")
     if not np.all((pts >= 0.0) & (pts <= 1.0)):   # also false for nan
         raise ValueError("points must be finite and lie in [0, 1]^d")
-    firsts, inverse = merge_duplicates(pts)
+    firsts, inverse = merge_duplicates(pts) if merged is None else merged
     mult = np.bincount(inverse)
     uniq = pts[firsts]
     n = uniq.shape[0]
@@ -614,6 +618,13 @@ class AntichainReport:
     :func:`maximum_antichain`); ``upper_split`` / ``lower_split`` partition
     the remaining vertices into those strictly above some element of W and
     the rest, with no element of W above anything in ``upper_split``.
+
+    A report made by the constructor holds the four fields as given.  A
+    report from :func:`maximum_antichain` holds ``antichain`` only: it
+    builds ``chain_cover`` when that is first read, and both splits when
+    either is first read, and caches them, so a caller that reads the
+    antichain alone never pays for the certificate.  Two concurrent first
+    reads may each build a field, and both get the same values.
     """
 
     antichain: np.ndarray
@@ -621,9 +632,38 @@ class AntichainReport:
     upper_split: np.ndarray
     lower_split: np.ndarray
 
+    @classmethod
+    def _deferred(cls, antichain: np.ndarray, chains, splits) -> "AntichainReport":
+        """A report holding ``antichain``; ``chains()`` builds the chain cover
+        and ``splits()`` the pair ``(upper_split, lower_split)`` on first read."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "antichain", antichain)
+        object.__setattr__(report, "_chains", chains)
+        object.__setattr__(report, "_splits", splits)
+        return report
+
+    def __getattr__(self, name):
+        # reached only for a name missing from the instance: a field that a
+        # deferred report has not built yet, or no attribute at all
+        state = self.__dict__
+        if name == "chain_cover" and "_chains" in state:
+            object.__setattr__(self, name, state["_chains"]())
+        elif name in ("upper_split", "lower_split") and "_splits" in state:
+            upper, lower = state["_splits"]()
+            object.__setattr__(self, "upper_split", upper)
+            object.__setattr__(self, "lower_split", lower)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return state[name]
+
 
 def maximum_antichain(dag: Dag) -> AntichainReport:
     """Maximum antichain with a chain cover of the same size, by one of two routes.
+
+    Each route computes the antichain at once and returns a report that
+    builds the chain cover and the splits on their first read (see
+    :class:`AntichainReport`), so reading ``antichain`` alone costs the
+    patience loop or the flow and its cut, nothing more.
 
     * Planar route, when the order is a dominance order of the plane:
       ``dag.labels`` are one or two finite numeric columns (one column ``x``
@@ -635,8 +675,9 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       on first use.
       With the points in ``(x, y)`` order, an antichain is a strictly
       decreasing run of y, and patience sorting finds a longest one in
-      O(n log n); its piles are the chain cover (Aldous & Diaconis 1999).
-      The splits come from the staircase of the antichain.
+      O(n log n); its piles are the chain cover (Aldous & Diaconis 1999),
+      grouped on first read.  The splits come from the staircase of the
+      antichain.
     * Flow route, for every other order: Dilworth's theorem by one maximum
       flow on the split cover network (Ford & Fulkerson 1962, ch. II): arcs
       source -> ``v_out`` and ``v_in`` -> sink of capacity 1, ``u_out`` ->
@@ -648,7 +689,8 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       W's out-nodes, so ``upper_split`` is the vertices with ``v_in`` in S and
       ``lower_split`` those with ``v_out`` outside it.  Each unit of flow
       links the vertex it leaves the source at to the one it enters the
-      sink at, and the links make the chains.
+      sink at, and the links make the chains; tracing them reads the
+      topological order, so an antichain alone never computes it.
     """
     pts = dag._planar_points
     if pts is None:
@@ -683,18 +725,28 @@ def _patience_antichain(pts: np.ndarray) -> AntichainReport:
     while prev[run[-1]] >= 0:
         run.append(prev[run[-1]])
     w_pos = np.asarray(run[::-1], dtype=np.int64)
+    return AntichainReport._deferred(np.sort(order[w_pos]),
+                                     partial(_pile_chains, order, pile),
+                                     partial(_staircase_splits, order, y, w_pos))
+
+
+def _pile_chains(order: np.ndarray, pile: list[int]) -> list[np.ndarray]:
+    """The patience piles as chains of vertex ids, each in sweep order."""
     by_pile = np.argsort(pile, kind="stable")
     ends = np.cumsum(np.bincount(pile))[:-1]
-    chains = [order[c] for c in np.split(by_pile, ends)]
+    return [order[c] for c in np.split(by_pile, ends)]
+
+
+def _staircase_splits(order: np.ndarray, y: np.ndarray,
+                      w_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The splits of the antichain at sweep positions ``w_pos``."""
+    n = len(y)
     # the last antichain point before p has the lowest y among those before p
     last = np.searchsorted(w_pos, np.arange(n)) - 1
     above = (last >= 0) & (y[w_pos[np.maximum(last, 0)]] <= y)
     in_w = np.zeros(n, dtype=bool)
     in_w[w_pos] = True
-    upper = np.sort(order[above & ~in_w])
-    lower = np.sort(order[~above & ~in_w])
-    return AntichainReport(antichain=np.sort(order[w_pos]), chain_cover=chains,
-                           upper_split=upper, lower_split=lower)
+    return np.sort(order[above & ~in_w]), np.sort(order[~above & ~in_w])
 
 
 def minimal_cut(net: csr_matrix, src: int, snk: int) -> tuple[csr_matrix, np.ndarray]:
@@ -721,10 +773,24 @@ def _flow_antichain(dag: Dag) -> AntichainReport:
           np.r_[ids, n + ev, ids, np.full(n, snk)])),
         shape=(2 * n + 2, 2 * n + 2))
     flow, reached = minimal_cut(net, src, snk)
+    out, up = reached[:n], reached[n:2 * n]
+    return AntichainReport._deferred(np.flatnonzero(out & ~up),
+                                     partial(_flow_chains, dag, flow),
+                                     partial(_cut_splits, out, up))
 
-    # chains: carry each unit of flow up the order from the vertex it left the
-    # source at to the one it enters the sink at (row v_out's flow is positive
-    # on v's cover arcs only), and link the two
+
+def _cut_splits(out: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The splits from the cut's ``v_out`` and ``v_in`` source-side masks."""
+    return np.flatnonzero(up), np.flatnonzero(~out)
+
+
+def _flow_chains(dag: Dag, flow: csr_matrix) -> list[np.ndarray]:
+    """The chains of a maximum flow on ``dag``'s split cover network."""
+    n = dag.n_vertices
+    src, snk = 2 * n, 2 * n + 1
+    # carry each unit of flow up the order from the vertex it left the
+    # source at to the one it enters the sink at (row v_out's flow is
+    # positive on v's cover arcs only), and link the two
     from_src = (flow[src, :n].toarray().ravel() > 0).tolist()
     to_snk = (flow[n:2 * n, snk].toarray().ravel() > 0).tolist()
     ptr, head, amount = flow.indptr.tolist(), flow.indices.tolist(), flow.data.tolist()
@@ -746,10 +812,7 @@ def _flow_antichain(dag: Dag) -> AntichainReport:
     by_chain = dag.topo_order[np.argsort(chain_of[dag.topo_order], kind="stable")]
     starts = np.unique(chain_of[by_chain], return_index=True)[1]
     chains = np.split(by_chain, starts[1:])
-    chains = [chains[i] for i in np.argsort(by_chain[starts])]
-    out, up = reached[:n], reached[n:2 * n]
-    return AntichainReport(antichain=np.flatnonzero(out & ~up), chain_cover=chains,
-                           upper_split=np.flatnonzero(up), lower_split=np.flatnonzero(~out))
+    return [chains[i] for i in np.argsort(by_chain[starts])]
 
 
 def level_cardinalities(spec: LatticeSpec) -> np.ndarray:

@@ -218,6 +218,31 @@ def test_antichain_random_route(capsys):
     assert "frac_meeting_bound=" in out
 
 
+def test_antichain_rejects_d_below_one_naming_d(capsys):
+    assert main(["antichain", "--d", "0", "--n-grid", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need d >= 1, got d=0\n"
+
+
+def test_fit_from_data_merges_each_point_set_once(tmp_path, monkeypatch):
+    """``fit --data`` merges its duplicate points once and hands the merge to
+    the builder, which does not merge again."""
+    from isodag import cli, orders
+
+    calls = []
+    real = orders.merge_duplicates
+    spy = lambda points: calls.append(len(points)) or real(points)
+    monkeypatch.setattr(orders, "merge_duplicates", spy)
+    monkeypatch.setattr(cli, "merge_duplicates", spy)
+    data = tmp_path / "obs.csv"
+    pts = np.random.default_rng(1).random((10, 2))
+    pts[7] = pts[2]
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh).writerows([i, *pts[i], pts[i].sum()] for i in range(10))
+    assert main(["fit", "--data", str(data), "--d", "2"]) == 0
+    assert calls == [10]
+
+
 def test_antichain_needs_some_design(capsys):
     assert main(["antichain", "--d", "2"]) == 2
 

@@ -69,6 +69,13 @@ def test_sampler_validation():
         DesignSampler.checkerboard(2, low=0.5, high=1.0)
 
 
+def test_sampler_errors_name_the_bad_setting():
+    with pytest.raises(ValueError, match=r"^need d >= 1, got d=0$"):
+        DesignSampler.uniform(0)
+    with pytest.raises(ValueError, match=r"^need level >= 0, got level=-1$"):
+        DesignSampler(d=1, level=-1, cell_values=(1.0,), m0=1.0, M0=1.0)
+
+
 def test_from_values_widens_band_to_include_one():
     s = DesignSampler.from_values(1, 1, (0.5, 1.5))
     assert s.m0 == 0.5 and s.M0 == 1.5

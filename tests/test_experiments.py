@@ -308,6 +308,21 @@ def test_non_converging_replicate_stops_the_sweep(monkeypatch):
         run_random_sweep(_cfg(design="random", n_grid=(10, 20), replicates=4))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_random_sweep_merges_each_design_once(d, monkeypatch):
+    """Each replicate's points are merged once: the sweep hands its merge to
+    the builder, which does not merge again."""
+    from isodag import orders
+
+    calls = []
+    real = orders.merge_duplicates
+    spy = lambda points: calls.append(len(points)) or real(points)
+    monkeypatch.setattr(orders, "merge_duplicates", spy)
+    monkeypatch.setattr(experiments, "merge_duplicates", spy)
+    run_random_sweep(_cfg(design="random", d=d, n_grid=(12, 20), replicates=3))
+    assert calls == [12] * 3 + [20] * 3
+
+
 # ---------------------------------------------------------------------------
 # lattice sweeps fit a size's replicates as disjoint unions
 

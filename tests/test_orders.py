@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from isodag import cli, orders
+from isodag import cli, design, orders
 from isodag.complexity import statdim_mc
 from isodag.design import DesignSampler, antichain_stats
 from isodag.orders import (
@@ -435,12 +435,34 @@ def assert_valid_antichain_report(dag, report):
     assert reach[np.ix_(W, upper)].any(axis=0).all()
 
 
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+REPORT_FIELDS = ("antichain", "chain_cover", "upper_split", "lower_split")
+
+
+def assert_read_order_is_irrelevant(route, dag, read_order):
+    """Two reports of ``route`` on ``dag``, one read in declaration order and
+    one in ``read_order``, hold bitwise the same arrays."""
+    first, second = route(dag), route(dag)
+    expected = [getattr(first, name) for name in REPORT_FIELDS]
+    got = {name: getattr(second, name) for name in read_order}
+    for name, want in zip(REPORT_FIELDS, expected):
+        have = got[name]
+        if name == "chain_cover":
+            assert len(have) == len(want)
+            pairs = zip(have, want)
+        else:
+            pairs = [(have, want)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.permutations(REPORT_FIELDS))
 @settings(max_examples=40, deadline=None)
-def test_antichain_report_structure(n, seed):
+def test_antichain_report_structure(n, seed, read_order):
     rng = np.random.default_rng(seed)
     dag = Dag.from_edges(n, random_dag_edges(rng, n))
     assert_valid_antichain_report(dag, maximum_antichain(dag))
+    assert_read_order_is_irrelevant(maximum_antichain, dag, read_order)
 
 
 def reference_matching_antichain(dag):
@@ -486,10 +508,12 @@ def test_flow_route_matches_matching_reference():
             for n, p in zip(rng.integers(1, 40, 200), rng.choice([0.05, 0.2, 0.5], 200))]
     dags += [build_lattice(LatticeSpec((8, 8, 8))), build_lattice(LatticeSpec((3, 5, 2, 4))),
              build_design_dag(rng.random((300, 3)))]
-    for dag in dags:
+    read_orders = list(itertools.permutations(REPORT_FIELDS))
+    for i, dag in enumerate(dags):
         report = _flow_antichain(dag)
         assert len(report.antichain) == len(reference_matching_antichain(dag)[0])
         assert_valid_antichain_report(dag, report)
+        assert_read_order_is_irrelevant(_flow_antichain, dag, read_orders[i % len(read_orders)])
 
 
 def test_flow_route_on_orders_slow_for_matching():
@@ -524,9 +548,9 @@ def test_flow_route_builds_no_closure(monkeypatch):
 
 
 @given(st.integers(min_value=1, max_value=80), st.sampled_from([None, 2, 4, 8]),
-       st.integers(min_value=0, max_value=2**32 - 1))
+       st.integers(min_value=0, max_value=2**32 - 1), st.permutations(REPORT_FIELDS))
 @settings(max_examples=60, deadline=None)
-def test_planar_route_matches_dense_reference(n, grid, seed):
+def test_planar_route_matches_dense_reference(n, grid, seed, read_order):
     """The sweep's cover edges and the patience antichain against the dense
     dominance matrix and the reference matching, with shared coordinates (points
     snapped to a grid of ``1/grid``) and repeated points."""
@@ -547,6 +571,7 @@ def test_planar_route_matches_dense_reference(n, grid, seed):
     report = maximum_antichain(dag)
     assert len(report.antichain) == len(reference_matching_antichain(dag)[0])
     assert_valid_antichain_report(dag, report)
+    assert_read_order_is_irrelevant(maximum_antichain, dag, read_order)
 
 
 def _spy(monkeypatch, name):
@@ -635,6 +660,25 @@ def test_design_orders_are_swept_once(shape, monkeypatch):
     assert len(sweeps) == 1
     assert dag.cover_edges is edges and len(sweeps) == 1
     assert_valid_antichain_report(dag, report)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_antichain_stats_reads_the_antichain_alone(d, monkeypatch):
+    """``antichain_stats`` calls ``maximum_antichain`` through the name bound
+    in ``isodag.design`` once per replicate (the benchmark tracer wraps that
+    name), and no replicate builds a chain cover or splits."""
+    reports = []
+    real = design.maximum_antichain
+    monkeypatch.setattr(design, "maximum_antichain",
+                        lambda dag: reports.append(real(dag)) or reports[-1])
+    builders = [_spy(monkeypatch, name) for name in
+                ("_pile_chains", "_staircase_splits", "_flow_chains", "_cut_splits")]
+    stats = antichain_stats(d, 150, DesignSampler.uniform(d), replicates=4, seed=5)
+    assert len(reports) == 4
+    assert builders == [[], [], [], []]
+    assert stats.sizes.tolist() == [len(r.antichain) for r in reports]
+    assert all("chain_cover" not in r.__dict__ and "upper_split" not in r.__dict__
+               for r in reports)
 
 
 @pytest.mark.parametrize("shape", [(400, 2), (400,)])
