@@ -30,6 +30,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import astuple, fields
 from functools import partial
 
 import numpy as np
@@ -38,8 +39,8 @@ from . import __version__
 from .complexity import (BoundParams, bound_eval, gaussian_width_mc, harmonic_sum,
                          noise_stream, statdim_mc)
 from .design import DesignSampler, antichain_stats
-from .experiments import (ExperimentConfig, emit_report, fit_rate_exponent, lattice_side,
-                          read_report, run_fixed_sweep, run_random_sweep, table1,
+from .experiments import (ExperimentConfig, Table1Row, emit_report, fit_rate_exponent,
+                          lattice_side, read_report, run_fixed_sweep, run_random_sweep, table1,
                           write_csv, write_json)
 from .orders import (LatticeSpec, SizeCapError, build_design_dag, build_lattice,
                      lattice_vertices, level_cardinalities, level_antichain_report,
@@ -281,12 +282,11 @@ def _cmd_sweep(args, design: str) -> int:
         raise ValueError("sweep needs --out")
     grid = _parse_n_grid(args.n_grid)
     if design == "lattice":
-        if args.signal == "assouad" and len(grid) != 1:
-            raise ValueError("assouad signals need a single-entry --n-grid")
+        # these signals are drawn for one lattice size, so check before drawing
+        if args.signal in ("assouad", "staircase") and len(grid) != 1:
+            raise ValueError(f"{args.signal} signals need a single-entry --n-grid")
         signal = _lattice_signal(args.signal, args.d, grid[0], args.seed,
                                  args.k, args.rho)
-        if args.signal == "staircase" and len(grid) != 1:
-            raise ValueError("staircase signals need a single-entry --n-grid")
         run = run_fixed_sweep
     else:
         signal = _random_signal(args.signal)
@@ -339,8 +339,7 @@ def _cmd_table1(args) -> int:
         print(f"d=3 log-log growth slope: {slope[0]:.4f} +- {slope[1]:.4f} "
               f"(target 1 - 2/3 = 0.3333 up to logs)")
     if args.out:
-        write_csv(args.out, ["d", "n", "statdim_mean", "statdim_stderr", "reference"],
-                  ([r.d, r.n, r.statdim_mean, r.statdim_stderr, r.reference] for r in rows))
+        write_csv(args.out, [f.name for f in fields(Table1Row)], map(astuple, rows))
         print(f"wrote {args.out}")
     return 0
 

@@ -145,11 +145,8 @@ def width_lower_bound_mc(dag: Dag, report: AntichainReport, replicates: int,
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     n = dag.n_vertices
-    w_ids = report.antichain
-    up = report.upper_split
-    lo = report.lower_split
-    if len(w_ids) + len(up) + len(lo) != n:
-        raise ValueError("antichain and splits do not partition the vertices")
+    report.check_partition(n)
+    w_ids, up, lo = report.antichain, report.upper_split, report.lower_split
     root_n = math.sqrt(n)
     vals = np.empty(replicates)
     for r in range(replicates):

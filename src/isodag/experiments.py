@@ -21,14 +21,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .complexity import (BoundParams, bound_eval, fit_replicates, harmonic_sum, noise_stream,
-                         statdim_mc)
+from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, fit_replicates,
+                         harmonic_sum, mc_aggregate, noise_stream, statdim_mc)
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
 from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
 from .signals import SignalSpec, generate_signal
@@ -74,24 +74,20 @@ class ExperimentConfig:
             raise ValueError("mc_points must be 0 (no population risk) or >= 2")
 
     def to_dict(self) -> dict:
-        """JSON-ready echo of the configuration."""
-        if self.signal is None:
-            sig = None
-        elif isinstance(self.signal, SignalSpec):
-            sig = {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(self.signal).items() if v is not None}
-        else:
-            sig = getattr(self.signal, "__name__", "custom")
-        samp = None
-        if self.sampler is not None:
-            samp = {"d": self.sampler.d, "level": self.sampler.level,
-                    "cell_values": list(self.sampler.cell_values),
-                    "m0": self.sampler.m0, "M0": self.sampler.M0}
-        return {"experiment": self.experiment, "d": self.d,
-                "n_grid": list(self.n_grid), "signal": sig, "design": self.design,
-                "sampler": samp, "replicates": self.replicates,
-                "mc_points": self.mc_points, "seed": self.seed,
-                "out_path": self.out_path}
+        """JSON-ready echo of the configuration: one key per field, in field order."""
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
+def _echo(value):
+    """A config value as JSON: a spec or sampler as the dict of its fields
+    that are not ``None``, a tuple as a list, any other callable by name."""
+    if is_dataclass(value):
+        return {k: _echo(v) for k, v in asdict(value).items() if v is not None}
+    if isinstance(value, tuple):
+        return list(value)
+    if callable(value):
+        return getattr(value, "__name__", "custom")
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,30 +118,21 @@ class RiskReport:
     notes: dict = field(default_factory=dict, compare=False)
 
 
-def _aggregate_rows(config: ExperimentConfig, per_n: list[tuple[int, np.ndarray, float | None]],
+def _aggregate_rows(config: ExperimentConfig, per_n: list[tuple[int, MonteCarloEstimate, bool]],
                     bound_name: str) -> list[RiskRow]:
-    """Turn per-size replicate arrays into rows, fitting a common log-log
-    slope when at least three sizes produced positive finite risks."""
+    """Turn per-size estimates of the summed squared error into rows, fitting
+    a common log-log slope when at least three sizes produced positive
+    finite risks; a flagged size also reports its mean as the statdim."""
     params = BoundParams(d=config.d)
-    means = {}
-    stderrs = {}
-    statdims = {}
-    for n, qs, statdim_flag in per_n:
-        m = float(np.mean(qs))
-        means[n] = m / n
-        stderrs[n] = float(np.std(qs, ddof=1) / math.sqrt(qs.size)) / n
-        statdims[n] = m if statdim_flag else None
-    slope = None
-    pts = [(n, means[n]) for n in means
-           if math.isfinite(means[n]) and means[n] > 0.0]
-    if len({n for n, _ in pts}) >= 3:
-        slope = fit_rate_exponent(pts)[0]
+    risks = [(n, est.mean / n) for n, est, _ in per_n]
+    pts = [(n, r) for n, r in risks if math.isfinite(r) and r > 0.0]
+    slope = fit_rate_exponent(pts)[0] if len(pts) >= 3 else None
     return [RiskRow(experiment=config.experiment, d=config.d, n=n,
                     replicates=config.replicates, seed=config.seed,
-                    risk_mean=means[n], risk_stderr=stderrs[n],
-                    statdim_mean=statdims[n],
+                    risk_mean=est.mean / n, risk_stderr=est.stderr / n,
+                    statdim_mean=est.mean if statdim_flag else None,
                     bound_C1=bound_eval(bound_name, params, n), slope_fit=slope)
-            for n, _, _ in per_n]
+            for n, est, statdim_flag in per_n]
 
 
 def lattice_side(n: int, d: int) -> int:
@@ -189,11 +176,12 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
             theta0 = np.zeros(n)
         else:
             theta0 = generate_signal(config.signal, spec)
-        ys = (theta0 + noise_stream(config.seed, j * config.replicates + r).standard_normal(n)
+        base = j * config.replicates
+        ys = (theta0 + noise_stream(config.seed, base + r).standard_normal(n)
               for r in range(config.replicates))
         diffs = (theta - theta0 for theta in fit_replicates(dag, ys))
-        qs = np.array([np.dot(w * diff, diff) for diff in diffs])
-        per_n.append((n, qs, not np.any(theta0)))
+        qs = [np.dot(w * diff, diff) for diff in diffs]
+        per_n.append((n, mc_aggregate(qs, config.seed, base), not np.any(theta0)))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_fixed"))
 
@@ -248,12 +236,11 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
                                       _L2P_STREAM_OFFSET + base + r).mean
             diff = theta - fvals[firsts]
             qs[r] = np.dot(w * diff, diff)
-        per_n.append((n, qs, None))
+        per_n.append((n, mc_aggregate(qs, config.seed, base), False))
         if config.mc_points:
-            l2p_notes[str(n)] = {
-                "mean": float(np.mean(l2ps)),
-                "stderr": float(np.std(l2ps, ddof=1) / math.sqrt(l2ps.size)),
-                "mc_points": config.mc_points}
+            est = mc_aggregate(l2ps, config.seed, _L2P_STREAM_OFFSET + base)
+            l2p_notes[str(n)] = {"mean": est.mean, "stderr": est.stderr,
+                                 "mc_points": config.mc_points}
     notes = {"l2p": l2p_notes} if l2p_notes else {}
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_random"),
@@ -328,8 +315,7 @@ def emit_report(report: RiskReport, format: str, path: str) -> str:
     report's ``notes`` block.
     """
     if format == "csv":
-        return write_csv(path, RISK_COLUMNS,
-                         ([getattr(row, c) for c in RISK_COLUMNS] for row in report.rows))
+        return write_csv(path, RISK_COLUMNS, map(astuple, report.rows))
     if format == "json":
         payload = {"config": report.config, "rows": [asdict(r) for r in report.rows],
                    "version": __version__}
@@ -337,6 +323,11 @@ def emit_report(report: RiskReport, format: str, path: str) -> str:
             payload["notes"] = report.notes
         return write_json(path, payload)
     raise ValueError("format must be 'csv' or 'json'")
+
+
+# how a CSV cell is read back, by the annotation of the field it holds
+_CSV_PARSERS = {"str": str, "int": int, "float": float,
+                "float | None": lambda cell: None if cell == "" else float(cell)}
 
 
 def read_report(path: str, format: str | None = None) -> RiskReport:
@@ -358,17 +349,9 @@ def read_report(path: str, format: str | None = None) -> RiskReport:
         header = next(reader)
         if tuple(header) != RISK_COLUMNS:
             raise ValueError(f"unexpected CSV header {header!r}")
-        rows = []
-        for rec in reader:
-            vals = dict(zip(RISK_COLUMNS, rec))
-            rows.append(RiskRow(
-                experiment=vals["experiment"], d=int(vals["d"]), n=int(vals["n"]),
-                replicates=int(vals["replicates"]), seed=int(vals["seed"]),
-                risk_mean=float(vals["risk_mean"]),
-                risk_stderr=float(vals["risk_stderr"]),
-                statdim_mean=None if vals["statdim_mean"] == "" else float(vals["statdim_mean"]),
-                bound_C1=float(vals["bound_C1"]),
-                slope_fit=None if vals["slope_fit"] == "" else float(vals["slope_fit"])))
+        parsers = [_CSV_PARSERS[f.type] for f in fields(RiskRow)]
+        rows = [RiskRow(*(parse(cell) for parse, cell in zip(parsers, rec, strict=True)))
+                for rec in reader]
         return RiskReport(config={}, rows=rows)
 
 

@@ -642,6 +642,13 @@ class AntichainReport:
         object.__setattr__(report, "_splits", splits)
         return report
 
+    def check_partition(self, n: int) -> None:
+        """Raise ``ValueError`` unless the antichain and the two splits
+        together hold each of the vertices ``0 .. n-1`` exactly once."""
+        ids = np.sort(np.concatenate([self.antichain, self.upper_split, self.lower_split]))
+        if ids.size != n or np.any(ids != np.arange(n)):
+            raise ValueError("antichain and splits do not partition the vertices")
+
     def __getattr__(self, name):
         # reached only for a name missing from the instance: a field that a
         # deferred report has not built yet, or no attribute at all

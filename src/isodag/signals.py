@@ -312,9 +312,7 @@ def assouad_fixed(dag: Dag, report: AntichainReport, spec: AssouadSpec) -> np.nd
     w_ids = np.asarray(report.antichain, dtype=np.int64)
     if len(spec.tau) != w_ids.size:
         raise ValueError("tau length does not match antichain size")
-    cover = np.sort(np.concatenate([w_ids, report.upper_split, report.lower_split]))
-    if cover.size != n or np.any(cover != np.arange(n)):
-        raise ValueError("antichain and splits do not partition the vertices")
+    report.check_partition(n)
     rho = 2.0 / (3.0 * math.sqrt(n)) if spec.rho is None else spec.rho
     theta = np.empty(n)
     theta[report.lower_split] = -1.0

@@ -8,8 +8,12 @@ respect to the partial order: ``theta_u <= theta_v`` for every cover edge
 One front door, :func:`lse_fit`, which takes no options: it sends a chain
 to scipy's compiled pool-adjacent-violators
 (:func:`scipy.optimize.isotonic_regression`) along the topological order,
-exact in O(n), and every other order to :func:`project_partition`.  Three
-routes to the same projection live here:
+exact in O(n), and every other order to :func:`project_partition`.  One
+problem object owns the data's scale: :attr:`IsotonicProblem.unit` is the
+exact power of two taking ``max |y|`` into ``[1, 2)``, computed once, and
+the chain route, :func:`project_partition`, :func:`project_dykstra` and
+the certificate all work on ``y * unit``.  Three routes to the same
+projection live here:
 
 * :func:`project_partition` -- recursive partitioning for general DAGs,
   exact up to the int32 quantization of near-ties: starting from one block
@@ -19,20 +23,23 @@ routes to the same projection live here:
 * :func:`project_dykstra` -- cyclic Dykstra projections over the cover-edge
   halfspaces for general DAGs, with correction terms guaranteeing convergence
   to the exact projection; iterative, kept as an independent cross-check.
+  It iterates at unit scale, with its tolerances scaled to match.
 * :func:`minmax_project_oracle` -- the closed-form min-max over upper and
   lower sets, exponential in n; the reference oracle for small problems.
 
 :func:`verify_projection_certificate` checks an alleged projection against
 the KKT conditions of the cone program, recovering nonnegative multipliers
 on the tight cover edges by one sparse linear program (HiGHS), at any size.
-Like the solvers, it works on the data rescaled by an exact power of two, so
-it neither under- nor overflows on data from 1e-300 to 1e300.
+The power-of-two rescale changes no mantissa, so each route makes on the
+rescaled data the decisions it would make on ``y``, while no sum of squares
+or pooled sum under- or overflows on data from 1e-300 to 1e300.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import isotonic_regression, linprog
@@ -70,7 +77,8 @@ class IsotonicProblem:
     """A weighted least-squares isotonic instance on a DAG.
 
     ``weights`` defaults to the dag's merged-duplicate multiplicities (all
-    ones when there are none).
+    ones when there are none).  :attr:`unit` is computed from ``y`` on its
+    first read and kept, so ``y`` must not change after a solver has read it.
     """
 
     dag: Dag
@@ -91,6 +99,17 @@ class IsotonicProblem:
                 raise ValueError("weights shape does not match y")
             if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("weights must be positive and finite")
+
+    @cached_property
+    def unit(self) -> float:
+        """Exact power of two taking ``max |y|`` into ``[1, 2)`` (1 for zero data).
+
+        Multiplying by it changes no mantissa, so every rounding decision made
+        on the rescaled data is the one made on ``y``, while sums of squares and
+        products can no longer under- or overflow.
+        """
+        m = float(np.max(np.abs(self.y), initial=0.0))
+        return math.ldexp(1.0, min(1 - math.frexp(m)[1], 1023)) if m else 1.0
 
 
 @dataclass
@@ -132,17 +151,6 @@ def is_chain(dag: Dag) -> bool:
     outdeg = np.bincount(dag.cover_edges[:, 0], minlength=n)
     indeg = np.bincount(dag.cover_edges[:, 1], minlength=n)
     return bool(outdeg.max(initial=0) <= 1 and indeg.max(initial=0) <= 1)
-
-
-def _binary_unit(y: np.ndarray) -> float:
-    """Exact power of two taking ``max |y|`` into ``[1, 2)`` (1 for zero data).
-
-    Multiplying by it changes no mantissa, so every rounding decision made
-    on the rescaled data is the one made on ``y``, while sums of squares and
-    products can no longer under- or overflow.
-    """
-    m = float(np.max(np.abs(y), initial=0.0))
-    return math.ldexp(1.0, min(1 - math.frexp(m)[1], 1023)) if m else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +243,7 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     """
     w = problem.weights
     n = problem.dag.n_vertices
-    unit = _binary_unit(problem.y)
+    unit = problem.unit
     ys = problem.y * unit
     edges = problem.dag.cover_edges
     eu, ev = edges[:, 0], edges[:, 1]
@@ -372,13 +380,16 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
     back, which is what makes the cycle converge to the projection of ``y``
     rather than just some feasible point.
 
+    The sweeps run on ``y * problem.unit``, the data at unit binary
+    magnitude, so neither the pooled sums nor the offsets of
+    :func:`_paths_pava` nor ``|y|_w^2`` can under- or overflow.
     Convergence is declared when, after a sweep, (i) the largest edge
     violation is at most ``tol``, (ii) the inner-product gap
-    ``|<y - theta, theta>_w|`` is at most ``tol * |y|_w^2`` (both sides
-    measured after an exact power-of-two rescale of the data to unit binary
-    magnitude, which keeps the test meaningful when ``|y|_w^2`` would
-    under- or overflow), and (iii) the sweep moved no coordinate by more
-    than ``tol``.  A sweep that leaves the
+    ``|<y - theta, theta>_w|`` is at most ``tol * |y|_w^2``, and (iii) the
+    sweep moved no coordinate by more than ``tol``, with ``tol`` in the
+    data's units: (i) and (iii) compare against ``tol * unit``.  Scaling by
+    a power of two is exact, so each test decides as it would on ``y``.
+    A sweep that leaves the
     iterate and every correction vector bitwise unchanged is an exact
     floating-point fixed point: no later sweep can move it, and a stationary
     iterate is feasible for every family, so it is accepted as the
@@ -394,23 +405,17 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    y = problem.y
     w = problem.weights
-    theta = y.copy()
+    unit = problem.unit
+    ys = problem.y * unit
+    theta = ys.copy()
     families = _dykstra_plan(problem.dag)
     corrections = [np.zeros(len(idx)) for idx, _ in families]
     fam_weights = [w[idx] for idx, _ in families]
     edges = problem.dag.cover_edges
     eu = edges[:, 0] if edges.size else np.zeros(0, dtype=np.int64)
     ev = edges[:, 1] if edges.size else np.zeros(0, dtype=np.int64)
-    # The gap test compares |<y - theta, theta>_w| against tol * |y|_w^2.
-    # Both sides are evaluated after an exact power-of-two rescale of the
-    # data to unit binary magnitude: for well-scaled data every product
-    # scales by the same exact factor and the decisions are unchanged, but
-    # |y|_w^2 can no longer underflow to zero (which would turn the test
-    # into the vacuous 0 <= 0 for data below ~1e-154) or overflow.
-    unit = _binary_unit(y)
-    ys = y * unit
+    step_tol = tol * unit
     gap_tol = tol * float(np.dot(w * ys, ys))
     max_violation = change = 0.0
     sweeps = 0
@@ -423,10 +428,9 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
             theta[idx] = fitted
             corrections[k] = z - fitted
         max_violation = float(np.max(theta[eu] - theta[ev], initial=0.0))
-        ts = theta * unit
-        gap = float(abs(np.dot(w * (ys - ts), ts)))
+        gap = float(abs(np.dot(w * (ys - theta), theta)))
         change = float(np.max(np.abs(theta - prev), initial=0.0))
-        if max_violation <= tol and gap <= gap_tol and change <= tol:
+        if max_violation <= step_tol and gap <= gap_tol and change <= step_tol:
             break
         if change == 0.0:
             if stalled_corrections is not None and all(
@@ -437,11 +441,11 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
         else:
             stalled_corrections = None
     else:
-        result = _result_from_theta(problem, theta, iterations=max_sweeps)
+        result = _result_from_theta(problem, theta / unit, iterations=max_sweeps)
         raise ConvergenceError(
-            f"no convergence in {max_sweeps} sweeps (violation {max_violation:.2e}, "
-            f"gap {result.inner_product_gap:.2e}, change {change:.2e})", result)
-    return _result_from_theta(problem, theta, iterations=sweeps)
+            f"no convergence in {max_sweeps} sweeps (violation {max_violation / unit:.2e}, "
+            f"gap {result.inner_product_gap:.2e}, change {change / unit:.2e})", result)
+    return _result_from_theta(problem, theta / unit, iterations=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +520,7 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
     theta = np.asarray(theta_hat, dtype=float)
     if theta.shape != problem.y.shape:
         raise ValueError("theta_hat shape does not match y")
-    unit = _binary_unit(problem.y)
+    unit = problem.unit
     ys = problem.y * unit
     ts = theta * unit
     edges = problem.dag.cover_edges
@@ -572,11 +576,10 @@ def lse_fit(dag: Dag, y, weights=None) -> ProjectionResult:
     if not is_chain(dag):
         return project_partition(problem)
     # at unit binary scale, so the pooled weighted sums cannot overflow
-    unit = _binary_unit(problem.y)
     order = dag.topo_order
     theta = np.empty_like(problem.y)
-    theta[order] = isotonic_regression(problem.y[order] * unit,
-                                       weights=problem.weights[order]).x / unit
+    theta[order] = isotonic_regression(problem.y[order] * problem.unit,
+                                       weights=problem.weights[order]).x / problem.unit
     return _result_from_theta(problem, theta, iterations=1)
 
 
@@ -590,7 +593,7 @@ def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,
     # Evaluated at unit binary scale, which is exact for ordinary data; near
     # the ends of the float range the Python division reads 0 or inf
     # instead of warning of under- or overflow.
-    unit = _binary_unit(problem.y)
+    unit = problem.unit
     ts = theta * unit
     gap = float(abs(np.dot(problem.weights * (problem.y * unit - ts), ts))) / unit / unit
     return ProjectionResult(theta_hat=theta, residual=problem.y - theta,

@@ -164,6 +164,15 @@ def test_sweep_fixed_validation_exits_2(tmp_path, capsys):
                  "--signal", "assouad", "--out", out]) == 2
     assert main(["sweep-fixed", "--d", "2", "--n-grid", "4", "--reps", "4",
                  "--signal", "nope", "--out", out]) == 2
+    # the grid's length is checked before the signal is drawn for its first
+    # size, so the message does not depend on which size comes first
+    for signal in ("staircase", "assouad"):
+        for grid in ("10,16", "16,10"):
+            capsys.readouterr()
+            assert main(["sweep-fixed", "--d", "2", "--n-grid", grid, "--signal", signal,
+                         "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {signal} signals need a single-entry --n-grid\n")
 
 
 def test_sweep_fixed_staircase_and_assouad_single_size(tmp_path):

@@ -23,6 +23,7 @@ from isodag.complexity import (
 )
 from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
                            level_antichain_report)
+from isodag.signals import AssouadSpec, assouad_fixed
 from isodag.solvers import is_chain, lse_fit
 
 
@@ -185,6 +186,17 @@ def test_width_lower_bound_requires_partition():
     broken = dataclasses.replace(report, lower_split=report.lower_split[:-1])
     with pytest.raises(ValueError):
         width_lower_bound_mc(dag, broken, replicates=4, seed=0)
+    # right counts, wrong vertices: one lower vertex is missing and an upper
+    # one appears twice, which a count comparison alone lets through
+    spec = LatticeSpec((4, 4))
+    dag = build_lattice(spec)
+    report = level_antichain_report(spec)
+    swapped = dataclasses.replace(
+        report, lower_split=np.r_[report.lower_split[:-1], report.upper_split[0]])
+    with pytest.raises(ValueError, match="partition"):
+        width_lower_bound_mc(dag, swapped, replicates=5, seed=0)
+    with pytest.raises(ValueError, match="partition"):
+        assouad_fixed(dag, swapped, AssouadSpec(tau=(0,) * len(report.antichain)))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,81 @@ def test_config_to_dict_round_trips_through_json():
     assert _cfg(signal=my_truth).to_dict()["signal"] == "my_truth"
 
 
+# The echo bytes of two configs, pinned: key order, tuples as lists, a spec
+# without its None fields, a sampler as its fields, a callable by its name.
+LATTICE_ECHO = """\
+{
+  "experiment": "echo-lattice",
+  "d": 2,
+  "n_grid": [
+    16,
+    64
+  ],
+  "signal": {
+    "kind": "staircase",
+    "value": 0.0,
+    "axis": 1,
+    "cuts": [
+      2
+    ],
+    "levels": [
+      -1.0,
+      0.5
+    ],
+    "axes": [],
+    "bounded": true
+  },
+  "design": "lattice",
+  "sampler": null,
+  "replicates": 7,
+  "mc_points": 0,
+  "seed": 3,
+  "out_path": "out/a.json"
+}"""
+
+RANDOM_ECHO = """\
+{
+  "experiment": "echo-random",
+  "d": 2,
+  "n_grid": [
+    50
+  ],
+  "signal": "named",
+  "design": "random",
+  "sampler": {
+    "d": 2,
+    "level": 1,
+    "cell_values": [
+      0.5,
+      1.5,
+      1.5,
+      0.5
+    ],
+    "m0": 0.5,
+    "M0": 1.5
+  },
+  "replicates": 4,
+  "mc_points": 20,
+  "seed": 11,
+  "out_path": null
+}"""
+
+
+def test_config_echo_bytes_are_pinned():
+    def named(x):
+        return x[:, 0]
+
+    lattice = ExperimentConfig(
+        experiment="echo-lattice", d=2, n_grid=(16, 64),
+        signal=SignalSpec.staircase(1, (2,), (-1.0, 0.5), bounded=True),
+        replicates=7, seed=3, out_path="out/a.json")
+    random = ExperimentConfig(
+        experiment="echo-random", d=2, n_grid=(50,), signal=named, design="random",
+        sampler=DesignSampler.checkerboard(2), replicates=4, mc_points=20, seed=11)
+    assert json.dumps(lattice.to_dict(), indent=2) == LATTICE_ECHO
+    assert json.dumps(random.to_dict(), indent=2) == RANDOM_ECHO
+
+
 def test_lattice_side():
     assert lattice_side(27, 3) == 3
     assert lattice_side(16, 2) == 4

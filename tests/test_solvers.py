@@ -412,6 +412,16 @@ def test_dykstra_results_raise_no_warning_far_from_unit_scale(scale):
     assert exc.value.result.theta_hat.shape == (9,)
 
 
+def test_dykstra_iterates_at_unit_scale_near_the_top_of_the_float_range():
+    # The offsets that keep Dykstra's paths apart are twice the data range
+    # per path; on raw data at 5e307 they overflow, at unit scale they cannot.
+    dag = build_lattice(LatticeSpec((3, 3)))
+    y = np.random.default_rng(0).standard_normal(9)
+    base = 5e307 * project_dykstra(IsotonicProblem(dag, y), tol=1e-8).theta_hat
+    res = project_dykstra(IsotonicProblem(dag, 5e307 * y), tol=1e-8 * 5e307)
+    assert np.max(np.abs(res.theta_hat - base)) <= 1e-12 * np.max(np.abs(base))
+
+
 @pytest.mark.parametrize("kind", ["constant", "isotonic"])
 def test_partition_returns_isotonic_data_in_one_level(kind):
     dag = build_lattice(LatticeSpec((3, 4)))
