@@ -20,10 +20,9 @@ from .experiments import (ExperimentConfig, RiskReport, RiskRow, Table1Row,
                           emit_report, fit_rate_exponent, lattice_side, read_report,
                           run_fixed_sweep, run_random_sweep, table1)
 from .orders import (AntichainReport, Dag, LatticeSpec, SizeCapError, build_design_dag,
-                     build_lattice, enumerate_upper_lower_sets, is_isotonic,
-                     lattice_index, lattice_vertices, level_antichain,
-                     level_antichain_report, level_cardinalities, longest_chain,
-                     maximum_antichain, upper_set_masks)
+                     build_lattice, is_isotonic, lattice_index, lattice_vertices,
+                     level_antichain, level_antichain_report, level_cardinalities,
+                     longest_chain, maximum_antichain)
 from .signals import (AssouadSpec, HyperrectPartition, PackingSet, SignalSpec,
                       assouad_fixed, assouad_random, box_sides, box_size,
                       diagonal_cells, diagonal_count_formulas, generate_signal,
@@ -33,7 +32,6 @@ from .signals import (AssouadSpec, HyperrectPartition, PackingSet, SignalSpec,
                       step_function)
 from .solvers import (CertificateError, ConvergenceError, DualCertificate,
                       IsotonicProblem, ProjectionResult, is_chain, lse_fit,
-                      minmax_project_oracle, project_dykstra, project_partition,
-                      verify_projection_certificate)
+                      project_partition, verify_projection_certificate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .complexity import (BoundParams, bound_eval, gaussian_width_mc, harmonic_sum,
-                         noise_stream, statdim_mc)
+from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, gaussian_width_mc,
+                         harmonic_sum, noise_stream, statdim_mc)
 from .design import DesignSampler, antichain_stats
 from .experiments import (ExperimentConfig, Table1Row, emit_report, fit_rate_exponent,
                           lattice_side, read_report, run_fixed_sweep, run_random_sweep, table1,
@@ -267,10 +267,10 @@ def _cmd_moment(args) -> int:
     print(f"{which} d={args.d} n={spec.n}: mean={est.mean!r} stderr={est.stderr!r} "
           f"(replicates={est.replicates}, seed={est.seed}, bound_C1={bound:.6g})")
     if args.out:
-        write_csv(args.out, ["metric", "d", "n", "replicates", "seed", "mean", "stderr",
-                             "bound_C1"],
-                  [[which, args.d, spec.n, est.replicates, est.seed, est.mean, est.stderr,
-                    bound]])
+        # the estimate's fields, less its first stream, which is always 0 here
+        cols = [f.name for f in fields(MonteCarloEstimate) if f.name != "stream_id"]
+        write_csv(args.out, ["metric", "d", "n", *cols, "bound_C1"],
+                  [[which, args.d, spec.n, *(getattr(est, c) for c in cols), bound]])
         print(f"wrote {args.out}")
     return 0
 

@@ -59,11 +59,11 @@ class MonteCarloEstimate:
     """Seeded MC average: ``mean`` +- ``stderr`` over ``replicates`` draws,
     streams ``stream_id .. stream_id + replicates - 1`` of ``seed``."""
 
-    mean: float
-    stderr: float
     replicates: int
     seed: int
     stream_id: int
+    mean: float
+    stderr: float
 
 
 def noise_stream(seed: int, stream_id: int) -> np.random.Generator:

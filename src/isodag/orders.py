@@ -45,9 +45,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, maxi
 
 LATTICE_VERTEX_CAP = 1_000_000
 
-# Subset enumeration (upper/lower sets, min-max oracles) is exponential in n.
-UPPER_SET_VERTEX_CAP = 12
-
 
 class SizeCapError(ValueError):
     """A requested combinatorial construction exceeds its configured cap."""
@@ -105,8 +102,9 @@ class Dag:
     labels : array-like of shape (n, d), optional
         Coordinate labels (lattice tuples or design points).
     multiplicities : array-like of shape (n,), optional
-        Positive vertex weights from merged duplicate points.  ``None``
-        means all ones.
+        Positive finite vertex weights, as merged duplicate points give;
+        they are the weights of every fit on the dag.  ``None`` means all
+        ones.
 
     Instances are immutable after construction and safe to share across
     concurrent readers.  The topological order, reachability and the planar
@@ -143,8 +141,8 @@ class Dag:
             multiplicities = np.asarray(multiplicities, dtype=float)
             if multiplicities.shape != (n,):
                 raise ValueError("multiplicities must have shape (n,)")
-            if np.any(multiplicities <= 0):
-                raise ValueError("multiplicities must be positive")
+            if not np.all(np.isfinite(multiplicities)) or np.any(multiplicities <= 0):
+                raise ValueError("multiplicities must be positive and finite")
             multiplicities = _frozen_copy(multiplicities)
         self.multiplicities = multiplicities
         # a sweep's covers are reduced and acyclic; any other edges are
@@ -889,48 +887,3 @@ def longest_chain(dag: Dag) -> np.ndarray:
     while best_next[chain[-1]] >= 0:
         chain.append(best_next[chain[-1]])
     return np.asarray(chain, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# upper/lower set enumeration
-
-
-def upper_set_masks(dag: Dag) -> list[int]:
-    """All upper sets as vertex bitmasks (bit i set iff vertex i in the set).
-
-    Exponential enumeration; capped at ``UPPER_SET_VERTEX_CAP`` vertices.
-    """
-    n = dag.n_vertices
-    if n > UPPER_SET_VERTEX_CAP:
-        raise SizeCapError(
-            f"upper set enumeration capped at {UPPER_SET_VERTEX_CAP} vertices, got {n}")
-    reach = dag.reachability()
-    succ = [int(sum(1 << v for v in np.nonzero(reach[u])[0])) for u in range(n)]
-    out = []
-    for mask in range(1 << n):
-        m = mask
-        ok = True
-        while m:
-            u = (m & -m).bit_length() - 1
-            if succ[u] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(mask)
-    return out
-
-
-def enumerate_upper_lower_sets(dag: Dag):
-    """All upper sets and all lower sets of the order, as frozensets.
-
-    Both lists include the empty set and the full vertex set; lower sets are
-    the complements of upper sets.  Same size cap as :func:`upper_set_masks`.
-    """
-    n = dag.n_vertices
-    full = (1 << n) - 1
-    uppers = upper_set_masks(dag)
-    to_set = lambda m: frozenset(i for i in range(n) if m >> i & 1)
-    upper_sets = [to_set(m) for m in uppers]
-    lower_sets = [to_set(full & ~m) for m in uppers]
-    return upper_sets, lower_sets

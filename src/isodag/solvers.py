@@ -5,32 +5,25 @@ Given data ``y`` and positive weights ``w``, the fit is the minimizer of
 respect to the partial order: ``theta_u <= theta_v`` for every cover edge
 ``u -> v``.
 
-One front door, :func:`lse_fit`, which takes no options: it sends a chain
-to scipy's compiled pool-adjacent-violators
+One front door, :func:`lse_fit`, which takes no options: the weights are
+always the dag's merged-duplicate multiplicities.  It has one exact route
+to the projection: a chain goes to scipy's compiled pool-adjacent-violators
 (:func:`scipy.optimize.isotonic_regression`) along the topological order,
-exact in O(n), and every other order to :func:`project_partition`.  One
-problem object owns the data's scale: :attr:`IsotonicProblem.unit` is the
-exact power of two taking ``max |y|`` into ``[1, 2)``, computed once, and
-the chain route, :func:`project_partition`, :func:`project_dykstra` and
-the certificate all work on ``y * unit``.  Three routes to the same
-projection live here:
-
-* :func:`project_partition` -- recursive partitioning for general DAGs,
-  exact up to the int32 quantization of near-ties: starting from one block
-  per connected component, each block splits at its weighted mean along a
-  maximum-weight upper set, found for all blocks of a level by one integer
-  maximum flow.
-* :func:`project_dykstra` -- cyclic Dykstra projections over the cover-edge
-  halfspaces for general DAGs, with correction terms guaranteeing convergence
-  to the exact projection; iterative, kept as an independent cross-check.
-  It iterates at unit scale, with its tolerances scaled to match.
-* :func:`minmax_project_oracle` -- the closed-form min-max over upper and
-  lower sets, exponential in n; the reference oracle for small problems.
+in O(n), and every other order to :func:`project_partition`, recursive
+partitioning: starting from one block per connected component, each block
+splits at its weighted mean along a maximum-weight upper set, found for all
+blocks of a level by one integer maximum flow.  One problem object owns the
+data's scale: :attr:`IsotonicProblem.unit` is the exact power of two taking
+``max |y|`` into ``[1, 2)``, computed once, and the chain route,
+:func:`project_partition` and the certificate all work on ``y * unit``.
+The iterative Dykstra solver and the exhaustive min-max oracle that the
+tests cross-check this route against live with the tests
+(``tests/reference.py``), not in the package.
 
 :func:`verify_projection_certificate` checks an alleged projection against
 the KKT conditions of the cone program, recovering nonnegative multipliers
 on the tight cover edges by one sparse linear program (HiGHS), at any size.
-The power-of-two rescale changes no mantissa, so each route makes on the
+The power-of-two rescale changes no mantissa, so each step makes on the
 rescaled data the decisions it would make on ``y``, while no sum of squares
 or pooled sum under- or overflows on data from 1e-300 to 1e300.
 """
@@ -46,15 +39,16 @@ from scipy.optimize import isotonic_regression, linprog
 from scipy.sparse import csr_matrix, eye, hstack
 from scipy.sparse.csgraph import connected_components
 
-from .orders import Dag, minimal_cut, upper_set_masks
+from .orders import Dag, minimal_cut
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_SWEEPS = 100_000
 DEFAULT_CERT_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Dykstra hit its sweep cap; ``.result`` carries the best iterate."""
+    """An iterative solver hit its sweep cap; ``.result`` carries the best iterate.
+
+    No route of the package iterates; the tests' Dykstra reference raises it.
+    """
 
     def __init__(self, message, result):
         super().__init__(message)
@@ -74,16 +68,19 @@ class CertificateError(RuntimeError):
 
 @dataclass
 class IsotonicProblem:
-    """A weighted least-squares isotonic instance on a DAG.
+    """A weighted least-squares isotonic instance on a DAG: data ``y`` on
+    the vertices of ``dag``.
 
-    ``weights`` defaults to the dag's merged-duplicate multiplicities (all
-    ones when there are none).  :attr:`unit` is computed from ``y`` on its
-    first read and kept, so ``y`` must not change after a solver has read it.
+    The weights are the dag's merged-duplicate multiplicities (all ones when
+    there are none), so a weighted instance is a dag built with
+    ``multiplicities``.  :func:`lse_fit` builds one and hands it to the
+    partition solver; the certificate and the tests' reference solvers take
+    one directly.  :attr:`weights` and :attr:`unit` are computed on first
+    read and kept, so ``y`` must not change after a solver has read it.
     """
 
     dag: Dag
     y: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -91,14 +88,11 @@ class IsotonicProblem:
             raise ValueError("y length does not match vertex count")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("y must be finite")
-        if self.weights is None:
-            self.weights = self.dag.weights()
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.y.shape:
-                raise ValueError("weights shape does not match y")
-            if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-                raise ValueError("weights must be positive and finite")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The dag's multiplicities, all ones when it has none."""
+        return self.dag.weights()
 
     @cached_property
     def unit(self) -> float:
@@ -156,10 +150,10 @@ def is_chain(dag: Dag) -> bool:
 # ---------------------------------------------------------------------------
 # partitioning on general DAGs
 
-# A block's positive gains are quantized to integers summing to at most
-# 2**_QUANT_BITS; cover edges inside a block get a capacity above any block's
-# total, so no minimum cut ever crosses one.  Both fit the int32 capacities
-# of scipy's maximum_flow.
+# A block's positive gains are quantized to integers summing to less than
+# 2**_QUANT_BITS plus one per vertex; cover edges inside a block get a
+# capacity above any block's total, so no minimum cut ever crosses one.  Both
+# fit the int32 capacities of scipy's maximum_flow.
 _QUANT_BITS = 30
 _UNCUTTABLE = 2**31 - 1
 
@@ -203,9 +197,10 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     convex in the order, so only their inner cover edges matter.
 
     The blocks of a level are disjoint, so all their closures come from one
-    integer maximum flow (Dinic): source arcs for ``g > 0``, sink arcs for
-    ``g < 0``, an uncuttable arc per inner cover edge, and the upper sets
-    are the vertices reachable from the source in the residual graph.
+    integer maximum flow (Dinic): source arcs for positive integer gains,
+    sink arcs for negative ones, an uncuttable arc per inner cover edge, and
+    the upper sets are the vertices reachable from the source in the
+    residual graph.
     Exactness guards:
 
     * the data is rescaled by an exact power of two, and each block's gains
@@ -227,19 +222,24 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     Dinic finds, so restricted to one component they are that component's
     own minimal cut.  Block sums are ``bincount`` sums in vertex order.
 
-    The fit is exact up to the int32 quantization of near-ties.  Rounding
-    moves any upper set's integer gain by at most ``|B| / 2`` steps of
-    ``2**-30`` of the block's positive gains, so two things can differ from
-    the exact projection, both only when closure gains are that close: a
-    positive closure gain below about ``|B|`` steps can be missed, leaving
-    the block at its mean, and a cut with positive gain that falls short of
-    the maximum by less than that can be taken.  A measured miss: on the
-    40^3 lattice with ``y = default_rng(0).standard_normal(64000)``, a level
-    set of 8969 vertices has an upper set of float gain 9.14e-5 and is 9.14e-5
-    off Dykstra in sup-norm; the fit passes the certificate at its default
-    tolerance (relative reconstruction 5.1e-7), and re-solving the level set
-    returns it bitwise.  ``iterations`` counts levels: one for isotonic or
-    constant data.
+    The fit is exact up to the int32 quantization of near-ties.  A block's
+    gains sum to zero about its mean, and so do its integer gains: the
+    scaled gains are floored, and the units the floors dropped go back one
+    each to the largest remainders, ties by vertex id.  The whole block then
+    has integer gain 0, and rounding moves a proper upper set's integer gain
+    by less than ``|B|`` steps of ``2**-30`` of the block's positive gains,
+    so two things can differ from the exact projection, both only when
+    closure gains are that close: a positive closure gain below about
+    ``|B|`` steps can be missed, leaving the block at its mean, and a cut
+    with positive gain that falls short of the maximum by less than that can
+    be taken.  Rounding each gain to the nearest integer would let the
+    whole block's integer gain drift like ``sqrt(|B|)`` steps and beat a
+    proper upper set: on the 40^3 lattice with
+    ``y = default_rng(0).standard_normal(64000)`` it left a level set of
+    8969 vertices at its mean, 9.14e-5 off the projection in sup-norm.
+    With the block sums at zero, that fit's relative reconstruction error is
+    1.9e-15 (5.1e-7 with nearest rounding).  ``iterations`` counts levels:
+    one for isotonic or constant data.
     """
     w = problem.weights
     n = problem.dag.n_vertices
@@ -268,7 +268,19 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
         g = np.where(on, w * (ys - mean[label]), 0.0)
         pos = np.bincount(label, np.maximum(g, 0.0), k)
         scale = np.ldexp(1.0, np.minimum(_QUANT_BITS - np.frexp(pos)[1], 1023))
-        q = np.rint(g * scale[label]).astype(np.int64)
+        # Largest-remainder rounding: the units a block's floors dropped go
+        # back to its largest remainders, ties by vertex id, so every
+        # block's integer gains sum to exactly 0.
+        r = g * scale[label]
+        q = np.floor(r)
+        lost = -np.bincount(label, q, k)
+        ids = np.flatnonzero(on)
+        ids = ids[np.lexsort((q[ids] - r[ids], label[ids]))]
+        block = label[ids]
+        count = np.bincount(block, minlength=k)
+        rank = np.arange(ids.size) - (np.cumsum(count) - count)[block]
+        q[ids[rank < lost[block]]] += 1.0
+        q = q.astype(np.int64)
         ie = inner & on[eu]
         up = np.flatnonzero(q > 0)
         down = np.flatnonzero(q < 0)
@@ -291,201 +303,6 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
     theta = np.where(identity[label], ys, mean[label])
     theta = _pool_violators(theta, label, w, ys, eu, ev) / unit
     return _result_from_theta(problem, theta, iterations=levels)
-
-
-# ---------------------------------------------------------------------------
-# Dykstra on general DAGs
-
-
-def _dykstra_plan(dag: Dag) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cover edges grouped into families of vertex-disjoint paths.
-
-    Edges are scanned in topological order of the source vertex and greedily
-    assigned to the first family in which the source has no outgoing and the
-    target no incoming edge yet, so each family is a disjoint union of
-    monotone paths.  Projecting onto the isotonic set of one family is then
-    an exact pooling pass along each of its paths, and Dykstra cycles over
-    the few families instead of over single edges -- on a total order the
-    single family makes the first sweep exact.
-
-    Returns a list of ``(indices, segment_ids)`` pairs per family: vertex
-    ids of the family's paths laid head-to-tail, and the path number of each
-    position.  Cached on the dag.
-    """
-    plan = dag.__dict__.get("_dykstra_plan")
-    if plan is not None:
-        return plan
-    edges = dag.cover_edges
-    plan = []
-    if edges.size:
-        pos = np.empty(dag.n_vertices, dtype=np.int64)
-        pos[dag.topo_order] = np.arange(dag.n_vertices)
-        order = np.lexsort((pos[edges[:, 1]], pos[edges[:, 0]]))
-        out_used: list[set] = []
-        in_used: list[set] = []
-        fam_edges: list[list[tuple[int, int]]] = []
-        for u, v in edges[order].tolist():
-            for k in range(len(fam_edges)):
-                if u not in out_used[k] and v not in in_used[k]:
-                    break
-            else:
-                k = len(fam_edges)
-                out_used.append(set())
-                in_used.append(set())
-                fam_edges.append([])
-            out_used[k].add(u)
-            in_used[k].add(v)
-            fam_edges[k].append((u, v))
-        for k, fe in enumerate(fam_edges):
-            succ = dict(fe)
-            heads = sorted(set(u for u, _ in fe) - in_used[k])
-            idx = []
-            seg = []
-            for s, h in enumerate(heads):
-                node = h
-                idx.append(node)
-                seg.append(s)
-                while node in succ:
-                    node = succ[node]
-                    idx.append(node)
-                    seg.append(s)
-            plan.append((np.asarray(idx, dtype=np.int64), np.asarray(seg, dtype=np.int64)))
-    dag.__dict__["_dykstra_plan"] = plan
-    return plan
-
-
-def _paths_pava(values: np.ndarray, weights: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Isotonic fit along each segment independently, via one pooled pass.
-
-    Segments are made non-interacting by adding a per-segment offset of twice
-    the data range, so a single C-level pooling call fits them all.  The
-    offset must be proportional to the range, not an absolute constant: a
-    constant would swamp data whose magnitude is far below it and quantize
-    every pooled mean to its ulp, stalling Dykstra short of convergence.
-    """
-    if values.size == 0 or seg[-1] == 0:
-        return isotonic_regression(values, weights=weights).x
-    span = float(values.max() - values.min())
-    off = seg * (2.0 * span)
-    fitted = isotonic_regression(values + off, weights=weights)
-    return fitted.x - off
-
-
-def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ProjectionResult:
-    """Exact cone projection by Dykstra's cyclic algorithm with corrections.
-
-    Sweeps cycle over the path families of :func:`_dykstra_plan`; before
-    each family projection the family's stored correction vector is added
-    back, which is what makes the cycle converge to the projection of ``y``
-    rather than just some feasible point.
-
-    The sweeps run on ``y * problem.unit``, the data at unit binary
-    magnitude, so neither the pooled sums nor the offsets of
-    :func:`_paths_pava` nor ``|y|_w^2`` can under- or overflow.
-    Convergence is declared when, after a sweep, (i) the largest edge
-    violation is at most ``tol``, (ii) the inner-product gap
-    ``|<y - theta, theta>_w|`` is at most ``tol * |y|_w^2``, and (iii) the
-    sweep moved no coordinate by more than ``tol``, with ``tol`` in the
-    data's units: (i) and (iii) compare against ``tol * unit``.  Scaling by
-    a power of two is exact, so each test decides as it would on ``y``.
-    A sweep that leaves the
-    iterate and every correction vector bitwise unchanged is an exact
-    floating-point fixed point: no later sweep can move it, and a stationary
-    iterate is feasible for every family, so it is accepted as the
-    projection even if the gap test is stricter than roundoff allows.
-
-    Raises
-    ------
-    ConvergenceError
-        After ``max_sweeps`` sweeps; the exception's ``result`` holds the
-        final iterate and its diagnostics.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    w = problem.weights
-    unit = problem.unit
-    ys = problem.y * unit
-    theta = ys.copy()
-    families = _dykstra_plan(problem.dag)
-    corrections = [np.zeros(len(idx)) for idx, _ in families]
-    fam_weights = [w[idx] for idx, _ in families]
-    edges = problem.dag.cover_edges
-    eu = edges[:, 0] if edges.size else np.zeros(0, dtype=np.int64)
-    ev = edges[:, 1] if edges.size else np.zeros(0, dtype=np.int64)
-    step_tol = tol * unit
-    gap_tol = tol * float(np.dot(w * ys, ys))
-    max_violation = change = 0.0
-    sweeps = 0
-    stalled_corrections = None
-    for sweeps in range(1, max_sweeps + 1):
-        prev = theta.copy()
-        for k, (idx, seg) in enumerate(families):
-            z = theta[idx] + corrections[k]
-            fitted = _paths_pava(z, fam_weights[k], seg)
-            theta[idx] = fitted
-            corrections[k] = z - fitted
-        max_violation = float(np.max(theta[eu] - theta[ev], initial=0.0))
-        gap = float(abs(np.dot(w * (ys - theta), theta)))
-        change = float(np.max(np.abs(theta - prev), initial=0.0))
-        if max_violation <= step_tol and gap <= gap_tol and change <= step_tol:
-            break
-        if change == 0.0:
-            if stalled_corrections is not None and all(
-                    np.array_equal(c, s)
-                    for c, s in zip(corrections, stalled_corrections)):
-                break  # exact fixed point of the sweep map
-            stalled_corrections = [c.copy() for c in corrections]
-        else:
-            stalled_corrections = None
-    else:
-        result = _result_from_theta(problem, theta / unit, iterations=max_sweeps)
-        raise ConvergenceError(
-            f"no convergence in {max_sweeps} sweeps (violation {max_violation / unit:.2e}, "
-            f"gap {result.inner_product_gap:.2e}, change {change / unit:.2e})", result)
-    return _result_from_theta(problem, theta / unit, iterations=sweeps)
-
-
-# ---------------------------------------------------------------------------
-# min-max oracle
-
-
-def minmax_project_oracle(problem: IsotonicProblem) -> np.ndarray:
-    """Projection by the min-max formula over upper and lower sets.
-
-    ``theta_i = min over lower sets L containing i of max over upper sets U
-    containing i of the weighted mean of y over L intersect U``.  Exponential
-    enumeration -- inherits the vertex cap of :func:`upper_set_masks`.
-    """
-    dag = problem.dag
-    n = dag.n_vertices
-    uppers = np.asarray(upper_set_masks(dag), dtype=np.int64)
-    full = (1 << n) - 1
-    lowers = full & ~uppers
-    wy = problem.weights * problem.y
-    wsum = np.zeros(1 << n)
-    wysum = np.zeros(1 << n)
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        i = lsb.bit_length() - 1
-        rest = mask ^ lsb
-        wsum[mask] = wsum[rest] + problem.weights[i]
-        wysum[mask] = wysum[rest] + wy[i]
-    theta = np.empty(n)
-    for i in range(n):
-        bit = 1 << i
-        Ls = lowers[(lowers & bit) > 0]
-        Us = uppers[(uppers & bit) > 0]
-        best = np.inf
-        # chunk the (L, U) grid to keep the intersection matrix small
-        for s in range(0, Ls.size, 256):
-            inter = Ls[s:s + 256, None] & Us[None, :]
-            means = wysum[inter] / wsum[inter]
-            best = min(best, float(means.max(axis=1).min()))
-        theta[i] = best
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +380,14 @@ def verify_projection_certificate(problem: IsotonicProblem, theta_hat,
 # front door
 
 
-def lse_fit(dag: Dag, y, weights=None) -> ProjectionResult:
+def lse_fit(dag: Dag, y) -> ProjectionResult:
     """Weighted least-squares isotonic fit on a DAG: the exact projection.
 
-    A chain goes to scipy's pool-adjacent-violators along ``dag.topo_order``;
-    every other order goes to :func:`project_partition`.  ``weights``
-    defaults to the dag's multiplicities.  For the iterative and exhaustive
-    cross-checks, call :func:`project_dykstra` or
-    :func:`minmax_project_oracle` on an :class:`IsotonicProblem`.
+    The weights are the dag's multiplicities.  A chain goes to scipy's
+    pool-adjacent-violators along ``dag.topo_order``; every other order goes
+    to :func:`project_partition`.
     """
-    problem = IsotonicProblem(dag, y, weights)
+    problem = IsotonicProblem(dag, y)
     if not is_chain(dag):
         return project_partition(problem)
     # at unit binary scale, so the pooled weighted sums cannot overflow

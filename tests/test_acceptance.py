@@ -24,8 +24,8 @@ from isodag.signals import (AssouadSpec, assouad_fixed, generate_signal,
                             packing_set_2d, random_staircase_spec,
                             sheet_decomposition, step_function,
                             riemann_envelopes, SignalSpec)
-from isodag.solvers import (lse_fit, IsotonicProblem, minmax_project_oracle,
-                            project_dykstra, verify_projection_certificate)
+from isodag.solvers import lse_fit, IsotonicProblem, verify_projection_certificate
+from reference import minmax_project_oracle, project_dykstra
 
 
 def _random_dag(rng: np.random.Generator, n: int) -> Dag:

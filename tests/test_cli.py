@@ -101,6 +101,7 @@ def test_statdim_output_matches_library(tmp_path, capsys):
     code = main(["statdim", "--n1", "3", "--d", "2", "--reps", "20",
                  "--seed", "7", "--out", str(out)])
     assert code == 0
+    assert open(out).readline() == "metric,d,n,replicates,seed,mean,stderr,bound_C1\n"
     row = list(csv.DictReader(open(out)))[0]
     dag = build_lattice(LatticeSpec((3, 3)))
     est = statdim_mc(dag, 20, seed=7)

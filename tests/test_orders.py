@@ -21,7 +21,6 @@ from isodag.orders import (
     build_design_dag,
     build_lattice,
     disjoint_copies,
-    enumerate_upper_lower_sets,
     is_isotonic,
     lattice_index,
     lattice_vertices,
@@ -31,9 +30,9 @@ from isodag.orders import (
     longest_chain,
     maximum_antichain,
     merge_duplicates,
-    upper_set_masks,
 )
 from isodag.solvers import lse_fit
+from reference import enumerate_upper_lower_sets, upper_set_masks
 
 
 def random_dag_edges(rng, n, p=0.3):
@@ -101,8 +100,9 @@ def test_weights_default_and_multiplicities():
     assert np.array_equal(dag.weights(), [1.0, 1.0])
     dag = Dag(2, [(0, 1)], multiplicities=[2.0, 3.0])
     assert np.array_equal(dag.weights(), [2.0, 3.0])
-    with pytest.raises(ValueError):
-        Dag(2, [(0, 1)], multiplicities=[1.0, 0.0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Dag(2, [(0, 1)], multiplicities=[1.0, bad])
 
 
 def test_dag_freezes_copies_not_the_callers_arrays():

@@ -1,5 +1,5 @@
-"""Cone projection: the chain route, partitioning, Dykstra, the min-max
-oracle, KKT certificates."""
+"""Cone projection: the chain route, partitioning and KKT certificates,
+cross-checked against the Dykstra and min-max references."""
 
 import warnings
 
@@ -20,11 +20,10 @@ from isodag.solvers import (
     IsotonicProblem,
     is_chain,
     lse_fit,
-    minmax_project_oracle,
-    project_dykstra,
     project_partition,
     verify_projection_certificate,
 )
+from reference import minmax_project_oracle, project_dykstra
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -32,6 +31,11 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 def random_dag(rng, n, p=0.35):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Dag.from_edges(n, edges)
+
+
+def _weighted(dag, w):
+    """``dag`` with vertex weights ``w``, as merged duplicate points give."""
+    return Dag(dag.n_vertices, dag.cover_edges, multiplicities=w)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +58,7 @@ def test_pava_single_violation_pools():
 
 def test_pava_weighted_pool():
     # pooled value is the weighted mean
-    out = lse_fit(_chain(2), np.array([3.0, 0.0]), np.array([1.0, 3.0])).theta_hat
+    out = lse_fit(_weighted(_chain(2), [1.0, 3.0]), np.array([3.0, 0.0])).theta_hat
     assert np.allclose(out, [0.75, 0.75])
 
 
@@ -79,7 +83,7 @@ def test_pava_is_projection(y, seed):
     """Nondecreasing output; optimal vs random isotonic competitors."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 2.0, y.size)
-    out = lse_fit(_chain(y.size), y, w).theta_hat
+    out = lse_fit(_weighted(_chain(y.size), w), y).theta_hat
     assert np.all(np.diff(out) >= -1e-12)
     for _ in range(5):
         other = np.sort(rng.uniform(y.min() - 1, y.max() + 1, y.size))
@@ -91,11 +95,11 @@ def test_pava_is_scale_free(scale):
     # 5e307 overflows the pooled weighted sums unless the data is rescaled
     rng = np.random.default_rng(8)
     y = rng.standard_normal(50)
-    w = rng.uniform(0.5, 2.0, 50)
-    base = lse_fit(_chain(50), y, w).theta_hat
+    chain = _weighted(_chain(50), rng.uniform(0.5, 2.0, 50))
+    base = lse_fit(chain, y).theta_hat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = lse_fit(_chain(50), scale * y, w).theta_hat
+        scaled = lse_fit(chain, scale * y).theta_hat
     assert np.max(np.abs(scaled - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
 
 
@@ -125,9 +129,8 @@ def test_dykstra_matches_oracle_weighted():
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        dag = random_dag(rng, n)
-        w = rng.uniform(0.2, 3.0, n)
-        prob = IsotonicProblem(dag, rng.standard_normal(n), w)
+        dag = _weighted(random_dag(rng, n), rng.uniform(0.2, 3.0, n))
+        prob = IsotonicProblem(dag, rng.standard_normal(n))
         ours = project_dykstra(prob, tol=1e-10).theta_hat
         oracle = minmax_project_oracle(prob)
         assert np.max(np.abs(ours - oracle)) < 1e-7
@@ -334,8 +337,6 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         IsotonicProblem(dag, np.zeros(4))
     with pytest.raises(ValueError):
-        IsotonicProblem(dag, np.zeros(3), weights=np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
         IsotonicProblem(dag, np.array([0.0, np.nan, 1.0]))
 
 
@@ -384,13 +385,13 @@ def test_partition_matches_tight_dykstra(case):
 @pytest.mark.parametrize("scale", [2.0 ** -52, 1e-300, 1e-20, 1e6, 1e300, 5e307])
 def test_partition_is_scale_free(scale):
     rng = np.random.default_rng(4)
-    dag = build_lattice(LatticeSpec((5, 5)))
+    lattice = build_lattice(LatticeSpec((5, 5)))
     y = rng.standard_normal(25)
-    w = rng.uniform(0.5, 2.0, 25)
-    base = project_partition(IsotonicProblem(dag, y, w)).theta_hat
+    dag = _weighted(lattice, rng.uniform(0.5, 2.0, 25))
+    base = project_partition(IsotonicProblem(dag, y)).theta_hat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scaled = project_partition(IsotonicProblem(dag, scale * y, w)).theta_hat
+        scaled = project_partition(IsotonicProblem(dag, scale * y)).theta_hat
     assert np.max(np.abs(scaled - scale * base)) <= 1e-12 * scale * np.max(np.abs(y))
 
 
@@ -470,3 +471,23 @@ def test_partition_pools_blocks_left_an_ulp_out_of_order():
     assert res.max_violation <= 0.0
     oracle = minmax_project_oracle(IsotonicProblem(dag, y))
     assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_partition_block_rounding_sums_to_zero():
+    # Two minimal vertices and a chain of seven under the chain u < h+ < h-;
+    # h+ and h- are 1024 merged points each.  In steps of the level's
+    # quantization the gains are 0.504 twice, -0.496 seven times, 2.465
+    # (u) and +-2**29 (h+, h-).  Rounded to nearest, the first nine would
+    # all go up by 0.496, so the whole order would have integer gain 4 and
+    # beat the upper set {u, h+, h-}, integer gain 2 for a float gain of
+    # 2.465 steps, leaving the order at its mean, 5.2e-7 off the projection.
+    # With the block's integer gains summing to 0, the whole order gains 0
+    # and the upper set splits off.
+    half = 0.5 - 2.0 ** -8
+    w = np.r_[np.ones(10), 1024.0, 1024.0]
+    dag = Dag(12, [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, 11)], multiplicities=w)
+    gain = np.r_[1 - half, 1 - half, np.full(7, -half), 9 * half - 2, 2.0 ** 29, -2.0 ** 29]
+    y = gain / w * 2.0 ** -19
+    assert not is_chain(dag) and np.dot(w, y) == 0.0 and np.max(np.abs(y)) == 1.0
+    fit = lse_fit(dag, y).theta_hat
+    assert np.max(np.abs(fit - minmax_project_oracle(IsotonicProblem(dag, y)))) <= 1e-9

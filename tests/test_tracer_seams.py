@@ -1,9 +1,12 @@
-"""The benchmark tracer's seams: every name it patches is bound in isodag.
+"""The benchmark tracer's seams: every name it patches or imports is bound
+in isodag.
 
 ``perfbench/spans.py`` wraps functions by the names through which one isodag
-module calls another (``WRAPPED``).  A refactor that drops such a name would
-otherwise surface only deep inside a traced benchmark run.  The tracer file
-is read, not imported, so this test runs none of its code.
+module calls another (``WRAPPED``), and imports names from isodag modules
+(``from isodag.<module> import <name>``, also inside its functions).  A
+refactor that drops such a name would otherwise surface only deep inside a
+traced benchmark run.  The tracer file is read, not imported, so this test
+runs none of its code.
 """
 
 import ast
@@ -13,9 +16,12 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
+def _tree() -> ast.Module:
+    return ast.parse(SPANS.read_text())
+
+
 def _wrapped() -> tuple:
-    tree = ast.parse(SPANS.read_text())
-    for node in tree.body:
+    for node in _tree().body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets):
             return ast.literal_eval(node.value)
@@ -30,3 +36,14 @@ def test_every_traced_name_is_bound_in_its_module():
                                        name, None))]
     assert not missing, (
         f"perfbench/spans.py patches names that isodag no longer binds: {missing}")
+
+
+def test_every_name_the_tracer_imports_is_bound_in_its_module():
+    imported = [(node.module, alias.name) for node in ast.walk(_tree())
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("isodag.") for alias in node.names]
+    assert imported
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, (
+        f"perfbench/spans.py imports names that isodag no longer binds: {missing}")
