@@ -10,15 +10,16 @@ from ``PCG64(SeedSequence(entropy=seed, spawn_key=(stream_id + r,)))``, so
 any replicate can be regenerated in isolation.  Aggregation always runs in
 ascending stream order, which keeps every reported mean bit-reproducible.
 
-Replicates on one order are solved together by :func:`fit_replicates`,
-the one replicate engine behind these instruments and the lattice risk
-sweeps of :mod:`isodag.experiments`: up to ``MC_UNION_VERTICES``
-vertices' worth of them are laid side by side as disjoint copies of the
-order (:func:`disjoint_copies`), with their data vectors concatenated in
-stream order, and fitted by one :func:`lse_fit`.  Each copy's fit is
-bitwise the one a separate call gives (see :func:`project_partition`), so
-only the fixed cost per solve level is shared.  Chains stay one call per
-replicate, on pool-adjacent-violators.
+On one order, :func:`fit_errors` is the one replicate loop: stream ``r``,
+fit, weighted squared error.  The statistical dimension, the Gaussian width
+and the lattice risk sweeps of :mod:`isodag.experiments` all score their
+replicates through it.  Its fits come from :func:`fit_replicates`, the one
+replicate engine: up to ``MC_UNION_VERTICES`` vertices' worth of them are
+laid side by side as disjoint copies of the order (:func:`disjoint_copies`),
+with their data vectors concatenated in stream order, and fitted by one
+:func:`lse_fit`.  Each copy's fit is bitwise the one a separate call gives
+(see :func:`project_partition`), so only the fixed cost per solve level is
+shared.  Chains stay one call per replicate, on pool-adjacent-violators.
 
 ``bound_eval`` evaluates the closed-form risk envelopes that the sweep
 reports are compared against, each named by what it bounds rather than by a
@@ -104,14 +105,20 @@ def fit_replicates(dag: Dag, ys: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         yield from lse_fit(union, np.concatenate(batch)).theta_hat.reshape(len(batch), n)
 
 
-def _projection_norms(dag: Dag, replicates: int, seed: int,
-                      stream_id: int) -> np.ndarray:
+def fit_errors(dag: Dag, theta0, replicates: int, seed: int,
+               stream_id: int) -> np.ndarray:
+    """Weighted squared errors ``|fit(theta0 + eps_r) - theta0|_w^2``, in
+    stream order, with ``eps_r`` the Gaussian noise of stream ``stream_id + r``
+    and the fits from :func:`fit_replicates`.  ``theta0`` is a vertex vector
+    or a scalar; ``0.0`` gives the squared projection norms."""
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     n = dag.n_vertices
     w = dag.weights()
-    eps = (noise_stream(seed, stream_id + r).standard_normal(n) for r in range(replicates))
-    return np.array([np.dot(w * theta, theta) for theta in fit_replicates(dag, eps)])
+    ys = (theta0 + noise_stream(seed, stream_id + r).standard_normal(n)
+          for r in range(replicates))
+    diffs = (theta - theta0 for theta in fit_replicates(dag, ys))
+    return np.array([np.dot(w * diff, diff) for diff in diffs])
 
 
 def statdim_mc(dag: Dag, replicates: int, seed: int,
@@ -121,7 +128,7 @@ def statdim_mc(dag: Dag, replicates: int, seed: int,
     The squared norm uses the same (weighted) inner product the projection
     minimizes; on unweighted dags that is the usual Euclidean one.
     """
-    sq = _projection_norms(dag, replicates, seed, stream_id)
+    sq = fit_errors(dag, 0.0, replicates, seed, stream_id)
     return mc_aggregate(sq, seed, stream_id)
 
 
@@ -129,7 +136,7 @@ def gaussian_width_mc(dag: Dag, replicates: int, seed: int,
                       stream_id: int = 0) -> MonteCarloEstimate:
     """MC estimate of ``E |Pi_M(eps)|``, the Gaussian width of the cone's
     unit-ball section (up to the usual +-1 additive slack)."""
-    sq = _projection_norms(dag, replicates, seed, stream_id)
+    sq = fit_errors(dag, 0.0, replicates, seed, stream_id)
     return mc_aggregate(np.sqrt(sq), seed, stream_id)
 
 

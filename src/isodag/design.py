@@ -179,17 +179,23 @@ class AntichainStats:
     fraction_meeting_bound: float
 
 
-def antichain_stats(d: int, n: int, sampler: DesignSampler, replicates: int,
-                    seed: int, stream_id: int = 0) -> AntichainStats:
+def _design_orders(d: int, n: int, sampler: DesignSampler, replicates: int,
+                   seed: int, stream_id: int):
+    """The comparability orders of ``replicates`` seeded design draws, one
+    per stream ``stream_id + r``, in stream order."""
     if sampler.d != d:
         raise ValueError("sampler dimension mismatch")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    sizes = np.empty(replicates, dtype=np.int64)
-    for r in range(replicates):
-        pts = draw_design(noise_stream(seed, stream_id + r), sampler, n)
-        dag = build_design_dag(pts)
-        sizes[r] = len(maximum_antichain(dag).antichain)
+    return (build_design_dag(sample_design(sampler, n, seed, stream_id + r))
+            for r in range(replicates))
+
+
+def antichain_stats(d: int, n: int, sampler: DesignSampler, replicates: int,
+                    seed: int, stream_id: int = 0) -> AntichainStats:
+    orders = _design_orders(d, n, sampler, replicates, seed, stream_id)
+    sizes = np.array([len(maximum_antichain(dag).antichain) for dag in orders],
+                     dtype=np.int64)
     bound = n ** (1.0 - 1.0 / d) / (2.0 * math.e * sampler.M0 ** (1.0 / d))
     frac = float(np.mean(sizes >= bound))
     return AntichainStats(sizes=sizes, mean_size=float(sizes.mean()),
@@ -223,29 +229,21 @@ def chain_probability_formulas(d: int, n: int, k: int, M0: float = 1.0) -> dict[
     }
 
 
-def chain_tail_check(d: int, n: int, M0: float, k: int,
-                     sampler: DesignSampler | None = None, replicates: int = 200,
-                     seed: int = 0, stream_id: int = 0) -> tuple[float, float]:
+def chain_tail_check(d: int, n: int, k: int, sampler: DesignSampler | None = None,
+                     replicates: int = 200, seed: int = 0,
+                     stream_id: int = 0) -> tuple[float, float]:
     """Long-chain tail: the ``C(n, k) (k!)^-d M0^k`` expression (capped at 1)
     against the empirical frequency of ``longest_chain >= k``.
 
-    The analytic value prices each candidate subset in a single fixed
-    order, so the observed frequency can exceed it; see
-    :func:`chain_probability_formulas` for the order-corrected union bound
-    that the frequency cannot beat.  The empirical side samples from
-    ``sampler`` (uniform by default) on streams ``stream_id .. stream_id +
-    replicates - 1``.
+    ``M0`` is the density ceiling of ``sampler`` (uniform by default), the
+    sampler the empirical side draws from on streams ``stream_id ..
+    stream_id + replicates - 1``.  The analytic value prices each candidate
+    subset in a single fixed order, so the observed frequency can exceed it;
+    see :func:`chain_probability_formulas` for the order-corrected union
+    bound that the frequency cannot beat.
     """
     if sampler is None:
         sampler = DesignSampler.uniform(d)
-    if sampler.d != d:
-        raise ValueError("sampler dimension mismatch")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    bound = min(1.0, chain_probability_formulas(d, n, k, M0)["ordered_tuple"])
-    hits = 0
-    for r in range(replicates):
-        pts = draw_design(noise_stream(seed, stream_id + r), sampler, n)
-        if len(longest_chain(build_design_dag(pts))) >= k:
-            hits += 1
-    return bound, hits / replicates
+    bound = min(1.0, chain_probability_formulas(d, n, k, sampler.M0)["ordered_tuple"])
+    orders = _design_orders(d, n, sampler, replicates, seed, stream_id)
+    return bound, sum(len(longest_chain(dag)) >= k for dag in orders) / replicates

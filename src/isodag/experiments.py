@@ -4,11 +4,11 @@ A sweep runs the least-squares isotonic fit over a grid of sample sizes,
 replicating each size across independent noise streams, and reports mean
 empirical risk with its Monte Carlo standard error.  Every fit is the exact
 projection ``lse_fit(dag, y)``; which solver computes it is decided in
-:mod:`isodag.solvers` alone.  A lattice sweep fits each size's replicates,
-which share one order, through :func:`isodag.complexity.fit_replicates`, in
-few disjoint-union solves bitwise equal to separate fits; a random-design
-sweep draws a new order per replicate and fits each alone.  Reports
-serialize to CSV (fixed column order) or JSON (with a config echo);
+:mod:`isodag.solvers` alone.  A lattice sweep scores each size's replicates,
+which share one order, by :func:`isodag.complexity.fit_errors`, the one
+lattice replicate loop, which also gives ``statdim_mc`` its norms; a
+random-design sweep draws a new order per replicate and fits each alone.
+Reports serialize to CSV (fixed column order) or JSON (with a config echo);
 identical configs produce byte-identical files because every replicate owns
 a dedicated stream and replicates run, and aggregate, in ascending stream
 order on the calling thread.  Every file the package writes goes through
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, fit_replicates,
+from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, fit_errors,
                          harmonic_sum, mc_aggregate, noise_stream, statdim_mc)
 from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
 from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
@@ -148,14 +148,12 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
     """Lattice-design risk sweep.
 
     Replicate ``r`` of grid entry ``j`` draws its noise from stream
-    ``j * replicates + r``.  A size's replicates are fitted by
-    :func:`fit_replicates`, as few disjoint-union solves as its vertex
-    budget allows; each fit is bitwise the one a separate ``lse_fit`` call
-    gives, so the streams, their order and the aggregation order are those
-    of one fit per replicate.  With the zero signal it computes exactly the
-    same squared projection norms as ``statdim_mc`` on those streams, and
-    the row's ``statdim_mean`` then holds that replicate mean, with
-    ``risk_mean = statdim_mean / n`` by a single division.
+    ``j * replicates + r``.  A size's squared errors come from
+    :func:`fit_errors`, whose fits are bitwise the ones separate ``lse_fit``
+    calls give, in stream order.  With the zero signal that is the call
+    ``statdim_mc`` makes on those streams, so the row's ``statdim_mean``
+    holds the statdim estimate, with ``risk_mean = statdim_mean / n`` by a
+    single division.
 
     The streams are keyed by position in ``n_grid``, not by ``n``, so a
     size's row depends on the sizes before it: the same ``(seed, n,
@@ -171,16 +169,9 @@ def run_fixed_sweep(config: ExperimentConfig) -> RiskReport:
         n1 = lattice_side(n, config.d)
         spec = LatticeSpec((n1,) * config.d)
         dag = build_lattice(spec)
-        w = dag.weights()
-        if config.signal is None:
-            theta0 = np.zeros(n)
-        else:
-            theta0 = generate_signal(config.signal, spec)
+        theta0 = 0.0 if config.signal is None else generate_signal(config.signal, spec)
         base = j * config.replicates
-        ys = (theta0 + noise_stream(config.seed, base + r).standard_normal(n)
-              for r in range(config.replicates))
-        diffs = (theta - theta0 for theta in fit_replicates(dag, ys))
-        qs = [np.dot(w * diff, diff) for diff in diffs]
+        qs = fit_errors(dag, theta0, config.replicates, config.seed, base)
         per_n.append((n, mc_aggregate(qs, config.seed, base), not np.any(theta0)))
     return RiskReport(config=config.to_dict(),
                       rows=_aggregate_rows(config, per_n, "worst_fixed"))
@@ -212,8 +203,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     sampler = config.sampler or DesignSampler.uniform(config.d)
     if sampler.d != config.d:
         raise ValueError("sampler dimension mismatch")
-    f0 = config.signal
-    truth = f0 if f0 is not None else (lambda pts: np.zeros(len(pts)))
+    truth = config.signal if config.signal is not None else (lambda pts: np.zeros(len(pts)))
     per_n = []
     l2p_notes = {}
     for j, n in enumerate(config.n_grid):
@@ -223,7 +213,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
         for r in range(config.replicates):
             rng = noise_stream(config.seed, base + r)
             X = draw_design(rng, sampler, n)
-            fvals = np.zeros(n) if f0 is None else np.asarray(f0(X), dtype=float)
+            fvals = np.asarray(truth(X), dtype=float)
             y = fvals + rng.standard_normal(n)
             firsts, inverse = merge_duplicates(X)
             dag = build_design_dag(X, merged=(firsts, inverse))

@@ -17,8 +17,11 @@ the combinatorial gadgets the lower-bound arguments are built from:
   cone's unit ball in two dimensions (:func:`packing_set_2d`).
 
 Vectors live on lattice vertices in row-major order (see
-:mod:`isodag.orders`); functions live pointwise on ``[0, 1]^d`` and accept
-``(d,)`` or ``(m, d)`` arrays.
+:mod:`isodag.orders`); functions live pointwise on ``[0, 1]^d``.  The
+functions built here accept ``(d,)`` or ``(m, d)`` arrays and refuse points
+outside the cube.  A function handed in (to :func:`grid_values`,
+:func:`riemann_envelopes`) must map an ``(m, d)`` array to ``m`` values;
+anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -180,12 +183,16 @@ def _snap_int(x: np.ndarray) -> np.ndarray:
 
 
 def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
+    """``(d,)`` or ``(m, d)`` points in ``[0, 1]^d`` as an ``(m, d)`` array,
+    and whether a single point was given."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     if single:
         pts = pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"points must have {d} coordinates")
+    if np.any(pts < 0.0) or np.any(pts > 1.0):
+        raise ValueError("points must lie in [0, 1]^d")
     return pts, single
 
 
@@ -207,8 +214,6 @@ def step_function(theta, lattice: LatticeSpec):
 
     def f(x):
         pts, single = _as_points(x, d)
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("points must lie in [0, 1]^d")
         idx = np.ceil(_snap_int(pts * sides)).astype(np.int64)
         np.clip(idx, 1, np.asarray(lattice.side_lengths) , out=idx)
         vals = arr[tuple((idx - 1).T)]
@@ -235,13 +240,10 @@ def grid_maps(obj, lattice: LatticeSpec):
 
 
 def _eval_points(f, pts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.asarray([float(f(p)) for p in pts])
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"f must map (m, d) points to m values, got {vals.shape}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +267,6 @@ def riemann_envelopes(f, n1: int, d: int):
 
     def _env(x, up: bool):
         pts, single = _as_points(x, d)
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("points must lie in [0, 1]^d")
         scaled = _snap_int(pts * n1)
         idx = (np.ceil(scaled) if up else np.floor(scaled)).astype(np.int64)
         np.clip(idx, 0, n1, out=idx)
@@ -370,13 +370,11 @@ def assouad_random(d: int, n1: int, tau=None, rho: float | None = None,
         rho = 2.0 ** 1.5 * m0 / (3.0 * M0 ** 1.5)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    # value on diagonal cell w, addressed by sum of (w_j - 1) digits in base n1
+    # value on each diagonal cell, keyed by its tuple of 1-based coordinates
     cell_key = {tuple(c): rho * float(t) for c, t in zip(cells.tolist(), tau)}
 
     def f(x):
         pts, single = _as_points(x, d)
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("points must lie in [0, 1]^d")
         c = np.ceil(_snap_int(pts * n1)).astype(np.int64)
         s = c.sum(axis=1)
         vals = np.where(s >= n1 + 1, 1.0, 0.0)
@@ -600,17 +598,16 @@ def packing_set_2d(ell: int) -> PackingSet:
     logn = math.log(n) if n > 1 else 1.0
     nbits = ell * ell
     need = ell * ell / 4.0
+    # First fit over all words in increasing order: the smallest word still
+    # at distance >= need from every accepted word is the next one accepted.
+    words = np.arange(1 << nbits)
+    popcount = sum(words >> b & 1 for b in range(nbits)).astype(np.uint8)
+    alive = np.ones(words.size, dtype=bool)
     accepted: list[int] = []
-    for word in range(1 << nbits):
-        ok = True
-        for c in accepted:
-            if bin(word ^ c).count("1") < need:
-                ok = False
-                break
-        if ok:
-            accepted.append(word)
-    codes = np.array([[w >> b & 1 for b in range(nbits)] for w in accepted],
-                     dtype=np.uint8)
+    while alive.any():
+        accepted.append(int(alive.argmax()))
+        alive &= popcount[words ^ accepted[-1]] >= need
+    codes = (np.array(accepted)[:, None] >> np.arange(nbits) & 1).astype(np.uint8)
     # block index of each 1-based coordinate: i in I_r  <=>  r = floor(log2 i) + 1
     blk = np.asarray([i.bit_length() for i in range(1, n1 + 1)], dtype=np.int64)
     r = np.repeat(blk, n1).reshape(n1, n1)

@@ -9,6 +9,10 @@ share no code with that route:
   of the cover edges, iterative and stopped by tolerances;
 * :func:`minmax_project_oracle` -- the closed-form min-max over upper and
   lower sets, exponential in n, from :func:`upper_set_masks`.
+
+It also keeps :func:`greedy_code_words`, the word-by-word first-fit scan
+that ``isodag.signals.packing_set_2d`` replaces with one mask over all
+words.
 """
 
 from __future__ import annotations
@@ -267,3 +271,23 @@ def enumerate_upper_lower_sets(dag: Dag):
     upper_sets = [to_set(m) for m in uppers]
     lower_sets = [to_set(full & ~m) for m in uppers]
     return upper_sets, lower_sets
+
+
+# ---------------------------------------------------------------------------
+# greedy binary codes
+
+
+def greedy_code_words(nbits: int, need: float) -> list[int]:
+    """First-fit code over all ``2**nbits`` words in increasing order: a word
+    is accepted iff its Hamming distance to every accepted word is at least
+    ``need``.  One Python comparison per (word, accepted word) pair."""
+    accepted: list[int] = []
+    for word in range(1 << nbits):
+        ok = True
+        for c in accepted:
+            if bin(word ^ c).count("1") < need:
+                ok = False
+                break
+        if ok:
+            accepted.append(word)
+    return accepted

@@ -16,7 +16,7 @@ from isodag.cli import main
 from isodag.complexity import (fit_replicates, gaussian_width_mc, harmonic_sum,
                                noise_stream, statdim_mc)
 from isodag.design import DesignSampler, antichain_stats
-from isodag import experiments
+from isodag import complexity
 from isodag.experiments import ExperimentConfig, lattice_side, run_fixed_sweep
 from isodag.orders import (Dag, LatticeSpec, build_lattice, is_isotonic,
                            level_antichain_report, maximum_antichain)
@@ -185,7 +185,7 @@ def _sweep_with_fits(config: ExperimentConfig):
         return thetas
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "fit_replicates", recording_fits)
+        mp.setattr(complexity, "fit_replicates", recording_fits)
         report = run_fixed_sweep(config)
     return report, fits
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line harness (in process)."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -90,6 +91,20 @@ def test_fit_rejects_nan_coordinate_exits_2(tmp_path, capsys):
     data.write_text("0,0.1,0.2,1.0\n1,nan,0.4,2.0\n")
     assert main(["fit", "--data", str(data), "--d", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """A fit that is not the projection fails its certificate: exit 3, the
+    failure named on stderr, and no output file."""
+    from isodag import cli
+
+    real = cli.lse_fit
+    monkeypatch.setattr(cli, "lse_fit", lambda dag, y: dataclasses.replace(
+        real(dag, y), theta_hat=np.zeros(dag.n_vertices)))
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--n1", "3", "--d", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("certificate failure")
+    assert not out.exists()
 
 
 def test_fit_needs_data_or_n1(capsys):

@@ -114,7 +114,7 @@ def test_batched_replicates_equal_separate_fits_bitwise(case):
     for r in range(reps):
         theta = lse_fit(dag, noise_stream(3, 17 + r).standard_normal(dag.n_vertices)).theta_hat
         sq.append(np.dot(w * theta, theta))
-    assert np.array_equal(complexity._projection_norms(dag, reps, 3, 17), sq)
+    assert np.array_equal(complexity.fit_errors(dag, 0.0, reps, 3, 17), sq)
     assert statdim_mc(dag, reps, seed=3, stream_id=17) == mc_aggregate(sq, 3, 17)
     assert gaussian_width_mc(dag, reps, seed=3, stream_id=17) == mc_aggregate(
         np.sqrt(sq), 3, 17)

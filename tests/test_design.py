@@ -247,12 +247,12 @@ def test_chain_tail_frequency_respects_union_bound():
     # regime where the fixed-order expression understates the chain
     # probability: frequency beats it but stays under the union bound
     d, n, k = 2, 50, 10
-    expr, freq = chain_tail_check(d, n, 1.0, k, replicates=60, seed=3)
+    expr, freq = chain_tail_check(d, n, k, replicates=60, seed=3)
     union = min(1.0, chain_probability_formulas(d, n, k)["union_bound"])
     assert freq <= union + 1e-12
     assert expr == min(1.0, chain_probability_formulas(d, n, k)["ordered_tuple"])
     # small-k regime where both expressions are moderate
-    expr2, freq2 = chain_tail_check(3, 30, 1.0, 6, replicates=60, seed=5)
+    expr2, freq2 = chain_tail_check(3, 30, 6, replicates=60, seed=5)
     union2 = min(1.0, chain_probability_formulas(3, 30, 6)["union_bound"])
     assert freq2 <= union2 + 1e-12
 
@@ -260,16 +260,32 @@ def test_chain_tail_frequency_respects_union_bound():
 def test_chain_tail_long_chains_are_never_seen():
     # k far in the tail: the expression is astronomically small and no
     # 30-chain ever shows up among 100 uniform points
-    expr, freq = chain_tail_check(2, 100, 1.0, 30, replicates=200, seed=4)
+    expr, freq = chain_tail_check(2, 100, 30, replicates=200, seed=4)
     assert expr < 1e-6
     assert freq == 0.0
 
 
+def test_chain_tail_check_prices_its_bound_with_the_sampler_ceiling():
+    """With a checkerboard sampler the expression uses that sampler's M0 = 1.5,
+    and the frequency is the one its own design draws give."""
+    d, n, k, reps = 2, 50, 10, 30
+    sampler = DesignSampler.checkerboard(d)
+    assert sampler.M0 == 1.5
+    expr, freq = chain_tail_check(d, n, k, sampler=sampler, replicates=reps,
+                                  seed=7, stream_id=4)
+    priced = chain_probability_formulas(d, n, k, M0=1.5)["ordered_tuple"]
+    assert expr == min(1.0, priced)
+    assert expr > chain_tail_check(d, n, k, replicates=2)[0]
+    hits = sum(len(longest_chain(build_design_dag(sample_design(sampler, n, 7, 4 + r))))
+               >= k for r in range(reps))
+    assert freq == hits / reps
+
+
 def test_chain_tail_check_validation():
     with pytest.raises(ValueError):
-        chain_tail_check(2, 10, 1.0, 3, sampler=DesignSampler.uniform(3))
+        chain_tail_check(2, 10, 3, sampler=DesignSampler.uniform(3))
     with pytest.raises(ValueError):
-        chain_tail_check(2, 10, 1.0, 3, replicates=0)
+        chain_tail_check(2, 10, 3, replicates=0)
 
 
 def test_longest_chain_on_design_consistency():

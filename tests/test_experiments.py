@@ -423,13 +423,14 @@ def _union_sweep_cases():
 def test_sweep_fits_equal_separate_fits_bitwise(case, monkeypatch):
     config = _union_sweep_cases()[case]
     fitted = []
+    real_fit_replicates = complexity.fit_replicates
 
     def recording_fits(dag, ys):
-        thetas = list(complexity.fit_replicates(dag, ys))
+        thetas = list(real_fit_replicates(dag, ys))
         fitted.append(thetas)
         return thetas
 
-    monkeypatch.setattr(experiments, "fit_replicates", recording_fits)
+    monkeypatch.setattr(complexity, "fit_replicates", recording_fits)
     report = run_fixed_sweep(config)
     assert len(fitted) == len(config.n_grid)
     for j, (n, row, thetas) in enumerate(zip(config.n_grid, report.rows, fitted)):

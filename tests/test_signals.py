@@ -1,5 +1,6 @@
 """Monotone signals, grid embeddings, perturbation families, packings."""
 
+import hashlib
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from isodag.signals import (
     sheet_decomposition,
     step_function,
 )
+from reference import greedy_code_words
 
 lattice_specs = st.builds(
     LatticeSpec,
@@ -147,6 +149,34 @@ def test_grid_round_trip_property(spec, seed):
     rng = np.random.default_rng(seed)
     theta = generate_signal(random_staircase_spec(spec, rng), spec)
     assert np.allclose(grid_values(step_function(theta, spec), spec), theta)
+
+
+def test_grid_values_refuses_a_callable_of_one_point():
+    """A function written for one point gets the whole ``(m, d)`` batch; its
+    answer does not have one value per point, so it is refused."""
+    lat = LatticeSpec((3, 2))
+    for one_point in (lambda p: p[0] + p[1], lambda p: min(1.0, float(p.sum()))):
+        with pytest.raises(ValueError, match=r"\(m, d\) points to m values"):
+            grid_values(one_point, lat)
+        with pytest.raises(ValueError, match=r"\(m, d\) points to m values"):
+            riemann_envelopes(one_point, 3, 2)
+
+
+def _cube_closures():
+    lat = LatticeSpec((3, 2))
+    f_lo, f_hi, _ = riemann_envelopes(lambda pts: pts.sum(axis=1), 3, 2)
+    return [step_function(generate_signal(SignalSpec.linear_mean(), lat), lat),
+            f_lo, f_hi, assouad_random(2, 3)]
+
+
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("x", [[-0.1, 0.5], [0.5, 1.0 + 1e-12],
+                               [[0.2, 0.3], [0.4, -1e-300]]])
+def test_cube_functions_refuse_points_outside_the_cube(which, x):
+    f = _cube_closures()[which]
+    assert np.isfinite(f([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]\^d"):
+        f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +395,22 @@ def test_packing_set_properties(ell):
     assert pack.min_sq_distance >= pack.min_hamming * pack.cell_sq_gap - 1e-12
     expected_gap = (ell * ell / 4) * (1 - 2 ** -0.5) ** 2 / (4 * math.log(n) ** 2)
     assert pack.min_sq_distance >= expected_gap - 1e-15
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_packing_codewords_equal_the_word_by_word_greedy_scan(ell):
+    words = greedy_code_words(ell * ell, ell * ell / 4.0)
+    bits = [[w >> b & 1 for b in range(ell * ell)] for w in words]
+    assert packing_set_2d(ell).codewords.tolist() == bits
+
+
+def test_packing_codewords_at_ell_4_are_pinned():
+    """The 2048 codewords at ell = 4, as the word-by-word greedy scan gave
+    them (SHA-256 of the uint8 codeword matrix's bytes)."""
+    codes = packing_set_2d(4).codewords
+    assert codes.shape == (2048, 16) and codes.dtype == np.uint8
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == (
+        "d8aece8bc545910139a04303e9692f1bc5f001fb8d47bfc7ec0804258a6d7c3a")
 
 
 def test_packing_cap():

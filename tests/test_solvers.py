@@ -14,6 +14,7 @@ from isodag.design import DesignSampler, draw_design
 from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
                            disjoint_copies, is_isotonic, merge_duplicates)
 from isodag.signals import SignalSpec, generate_signal
+from isodag import solvers
 from isodag.solvers import (
     CertificateError,
     ConvergenceError,
@@ -471,6 +472,43 @@ def test_partition_pools_blocks_left_an_ulp_out_of_order():
     assert res.max_violation <= 0.0
     oracle = minmax_project_oracle(IsotonicProblem(dag, y))
     assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _pooled(dag, label, w, ys):
+    """``_pool_violators`` on blocks that sit at their weighted means."""
+    label = np.asarray(label)
+    theta = (np.bincount(label, w * ys) / np.bincount(label, w))[label]
+    eu, ev = dag.cover_edges[:, 0], dag.cover_edges[:, 1]
+    out = solvers._pool_violators(theta, label, w, ys, eu, ev)
+    assert np.all(out[eu] <= out[ev])
+    return out
+
+
+def test_pool_violators_merges_blocks_an_ulp_out_of_order():
+    # Blocks {1, 2} and {3..8} of the 3x3 lattice have exact mean 0.45, but
+    # their float means are 0.45 and the float one ulp below it, out of order
+    # across the cover edges 1 -> 4 and 2 -> 5; block {0} sits below both.
+    dag = build_lattice(LatticeSpec((3, 3)))
+    ys = np.array([0.1, 0.8, 0.1, -0.9, 1.5, 0.3, 0.0, 1.5, 0.3])
+    w = np.ones(9)
+    label = [0, 1, 1, 2, 2, 2, 2, 2, 2]
+    means = np.bincount(label, w * ys) / np.bincount(label, w)
+    assert means[1] == 0.45 and means[2] == np.nextafter(0.45, 0.0)
+    final = np.array([0, 1, 1, 1, 1, 1, 1, 1, 1])
+    expected = (np.bincount(final, w * ys) / np.bincount(final, w))[final]
+    assert np.array_equal(_pooled(dag, label, w, ys), expected)
+
+
+def test_pool_violators_takes_a_second_pass_when_a_pool_rises():
+    # On the weighted chain 0 < 1 < 2 the first pass pools {0, 1} to 1 + 2u,
+    # which now lies above vertex 2; the second pass pools all three to the
+    # weighted mean (1 + 4u + 1 + 2 * 1) / 4 = 1 + u, all exact in floats.
+    u = np.spacing(1.0)
+    dag = build_lattice(LatticeSpec((3,)))
+    ys = np.array([1.0 + 4 * u, 1.0, 1.0])
+    w = np.array([1.0, 1.0, 2.0])
+    assert (ys[0] + ys[1]) / 2 > ys[2]
+    assert np.array_equal(_pooled(dag, [0, 1, 2], w, ys), np.full(3, 1.0 + u))
 
 
 def test_partition_block_rounding_sums_to_zero():
