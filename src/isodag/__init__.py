@@ -22,7 +22,7 @@ from .experiments import (ExperimentConfig, RiskReport, RiskRow, Table1Row,
 from .orders import (AntichainReport, Dag, LatticeSpec, SizeCapError, build_design_dag,
                      build_lattice, is_isotonic, lattice_index, lattice_vertices,
                      level_antichain, level_antichain_report, level_cardinalities,
-                     longest_chain, maximum_antichain)
+                     longest_chain, maximum_antichain, planar_width)
 from .signals import (AssouadSpec, HyperrectPartition, PackingSet, SignalSpec,
                       assouad_fixed, assouad_random, box_sides, box_size,
                       diagonal_cells, diagonal_count_formulas, generate_signal,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import MonteCarloEstimate, mc_aggregate, noise_stream
-from .orders import build_design_dag, longest_chain, maximum_antichain
+from .orders import build_design_dag, longest_chain, maximum_antichain, planar_width
 
 
 @dataclass(frozen=True)
@@ -179,23 +179,31 @@ class AntichainStats:
     fraction_meeting_bound: float
 
 
-def _design_orders(d: int, n: int, sampler: DesignSampler, replicates: int,
-                   seed: int, stream_id: int):
-    """The comparability orders of ``replicates`` seeded design draws, one
-    per stream ``stream_id + r``, in stream order."""
+def _design_draws(d: int, n: int, sampler: DesignSampler, replicates: int,
+                  seed: int, stream_id: int):
+    """``replicates`` seeded design draws, one per stream ``stream_id + r``,
+    in stream order."""
     if sampler.d != d:
         raise ValueError("sampler dimension mismatch")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    return (build_design_dag(sample_design(sampler, n, seed, stream_id + r))
-            for r in range(replicates))
+    return (sample_design(sampler, n, seed, stream_id + r) for r in range(replicates))
+
+
+def _width(points) -> int:
+    """Size of a maximum antichain of the dominance order on ``points``:
+    the patience piles of the points themselves for ``d <= 2``, otherwise
+    :func:`maximum_antichain` of the built order."""
+    width = planar_width(points)
+    if width is None:
+        width = len(maximum_antichain(build_design_dag(points)).antichain)
+    return width
 
 
 def antichain_stats(d: int, n: int, sampler: DesignSampler, replicates: int,
                     seed: int, stream_id: int = 0) -> AntichainStats:
-    orders = _design_orders(d, n, sampler, replicates, seed, stream_id)
-    sizes = np.array([len(maximum_antichain(dag).antichain) for dag in orders],
-                     dtype=np.int64)
+    draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
+    sizes = np.array([_width(points) for points in draws], dtype=np.int64)
     bound = n ** (1.0 - 1.0 / d) / (2.0 * math.e * sampler.M0 ** (1.0 / d))
     frac = float(np.mean(sizes >= bound))
     return AntichainStats(sizes=sizes, mean_size=float(sizes.mean()),
@@ -245,5 +253,6 @@ def chain_tail_check(d: int, n: int, k: int, sampler: DesignSampler | None = Non
     if sampler is None:
         sampler = DesignSampler.uniform(d)
     bound = min(1.0, chain_probability_formulas(d, n, k, sampler.M0)["ordered_tuple"])
-    orders = _design_orders(d, n, sampler, replicates, seed, stream_id)
-    return bound, sum(len(longest_chain(dag)) >= k for dag in orders) / replicates
+    draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
+    return bound, sum(len(longest_chain(build_design_dag(points))) >= k
+                      for points in draws) / replicates

@@ -19,15 +19,17 @@ Two constructors cover the cases used throughout the package:
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
 the same size.  On an order that is planar dominance of its labels (one
 label column counts as the plane's diagonal) it uses patience sorting in
-O(n log n); the proof is the points that :func:`build_design_dag` built the
-order from, whose cover edges it never sweeps, or one sweep run and cached
-on first use for any other order.
+O(n log n); the proof is the points that :func:`build_design_dag` or
+:func:`build_lattice` built the order from, whose cover edges it never
+sweeps, or one sweep run and cached on first use for any other order.
 On every other order it runs one maximum flow on the cover edges (Dilworth
 via Ford & Fulkerson): the antichain and the splits are read off the
 minimal minimum cut, and the chains off the flow.  No route needs the n x n
 reachability matrix.  Either route computes the antichain at once and
 builds the chain cover and the splits when they are first read, so a
-caller that wants the width alone pays for neither.
+caller that wants the width alone pays for neither.  :func:`planar_width`
+gives the width of points of the plane from the same patience piles, with
+no order built at all.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -203,9 +205,9 @@ class Dag:
         They do when the labels are one or two finite numeric columns (one
         column ``x`` is read as the point ``(x, x)``) and the planar sweep's
         covers of those points equal the cover edges, in count and as a
-        set; otherwise ``None``.  :func:`build_design_dag` stores the points
-        that its cover edges are swept from, so its orders are never swept
-        to prove them.
+        set; otherwise ``None``.  :func:`build_design_dag` and, for ``d <= 2``,
+        :func:`build_lattice` store the points their orders are dominance
+        of, so those orders are never swept to prove them.
         """
         labels = self.labels
         if labels is None or labels.shape[1] not in (1, 2) or labels.dtype.kind not in "iuf":
@@ -478,7 +480,11 @@ def build_lattice(spec: LatticeSpec) -> Dag:
     """Grid order on the lattice: ``u <= v`` iff coordinatewise.
 
     Cover edges step +1 in exactly one coordinate, so a full cube
-    ``d, n_1`` has ``d (n_1 - 1) n_1^(d-1)`` of them.
+    ``d, n_1`` has ``d (n_1 - 1) n_1^(d-1)`` of them.  For ``d <= 2`` the
+    order is dominance of its labels in the plane, and the dag stores them
+    as float points (a line's as ``(x, x)``), as :func:`build_design_dag`
+    does, so :func:`maximum_antichain` takes the planar route with no sweep
+    to prove it.
 
     Raises
     ------
@@ -503,7 +509,10 @@ def build_lattice(spec: LatticeSpec) -> Dag:
         hi[j] = slice(1, sides[j])
         edges.append(np.stack([ids[tuple(lo)].ravel(), ids[tuple(hi)].ravel()], axis=1))
     cover = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64)
-    return Dag(n, cover, labels=lattice_vertices(spec), _skip_reduction_check=True)
+    dag = Dag(n, cover, labels=lattice_vertices(spec), _skip_reduction_check=True)
+    if d <= 2:
+        dag.__dict__["_planar_points"] = dag.labels[:, [0, -1]].astype(float)
+    return dag
 
 
 def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
@@ -531,6 +540,19 @@ def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(firsts), inverse
 
 
+def _cube_points(points) -> np.ndarray:
+    """``points`` as a float ``(n, d)`` array (one column for a 1-d array),
+    checked to be nonempty, finite and inside ``[0, 1]^d``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a nonempty (n, d) array")
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):   # also false for nan
+        raise ValueError("points must be finite and lie in [0, 1]^d")
+    return pts
+
+
 def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None) -> Dag:
     """Partial order induced on points of ``[0, 1]^d`` by coordinatewise <=.
 
@@ -555,13 +577,7 @@ def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None
 
     Both give the same cover edges in the same row-major ``(u, v)`` order.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty (n, d) array")
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):   # also false for nan
-        raise ValueError("points must be finite and lie in [0, 1]^d")
+    pts = _cube_points(points)
     firsts, inverse = merge_duplicates(pts) if merged is None else merged
     mult = np.bincount(inverse)
     uniq = pts[firsts]
@@ -675,9 +691,9 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
       is read as the point ``(x, x)``, so chains take this route) and the
       dag's cover edges are the planar sweep's covers of those points.  The
       proof is the dag's cached ``_planar_points``: :func:`build_design_dag`
-      stores the points whose sweep gives its cover edges, and this route
-      reads neither the sweep nor the edges; any other order is swept once
-      on first use.
+      and :func:`build_lattice` store the points whose dominance order the
+      dag is, and this route reads neither the sweep nor the edges; any
+      other order is swept once on first use.
       With the points in ``(x, y)`` order, an antichain is a strictly
       decreasing run of y, and patience sorting finds a longest one in
       O(n log n); its piles are the chain cover (Aldous & Diaconis 1999),
@@ -701,6 +717,23 @@ def maximum_antichain(dag: Dag) -> AntichainReport:
     if pts is None:
         return _flow_antichain(dag)
     return _patience_antichain(pts)
+
+
+def planar_width(points) -> int | None:
+    """Width of the dominance order on points of ``[0, 1]^d`` if ``d <= 2``.
+
+    The width is the size of a maximum antichain of
+    ``build_design_dag(points)``, read off the patience piles of the points
+    as given (a point ``x`` of the line as ``(x, x)``), with no merge, no
+    :class:`Dag` and no sweep: equal points land on one pile, so duplicates
+    change no width.  The points are checked as :func:`build_design_dag`
+    checks them.  Returns ``None`` for ``d >= 3``, where the order is not
+    planar and :func:`maximum_antichain` of the built order gives the width.
+    """
+    pts = _cube_points(points)
+    if pts.shape[1] > 2:
+        return None
+    return len(_patience_antichain(pts[:, [0, -1]]).antichain)
 
 
 def _patience_antichain(pts: np.ndarray) -> AntichainReport:

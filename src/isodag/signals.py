@@ -559,7 +559,8 @@ class PackingSet:
 
     ``vectors`` has one row per codeword, flattened row-major on the
     ``n1 x n1`` lattice; ``min_sq_distance`` is the smallest pairwise
-    squared Euclidean distance, which equals ``hamming * cell_sq_gap``.
+    squared Euclidean distance, which equals ``min_hamming * cell_sq_gap``
+    up to rounding.
     """
 
     ell: int
@@ -581,7 +582,10 @@ def packing_set_2d(ell: int) -> PackingSet:
     contributes the same squared distance ``(1 - 2^-1/2)^2 / (4 log^2 n)``,
     so a binary code with pairwise Hamming distance at least ``ell^2 / 4``
     (built greedily over all ``2^(ell^2)`` words, first fit) turns into a
-    packing of nonpositive isotonic vectors inside the unit ball.
+    packing of nonpositive isotonic vectors inside the unit ball.  Its
+    ``min_sq_distance`` is the ``pdist`` minimum over the vectors; it equals
+    ``min_hamming * cell_sq_gap`` up to rounding (at ``ell = 4`` they are
+    0.002924456868211312 and 0.00292445686821132).
 
     Raises
     ------

@@ -368,18 +368,19 @@ def test_table1_chain_column_matches_harmonic():
         assert abs(row.statdim_mean - row.reference) <= 4 * row.statdim_stderr
 
 
-def test_non_converging_replicate_stops_the_sweep(monkeypatch):
-    from isodag.solvers import ConvergenceError
+def test_failed_replicate_stops_the_sweep(monkeypatch):
+    class FitFailed(Exception):
+        pass
 
     def fail(dag, y, **kw):
-        raise ConvergenceError("forced", None)
+        raise FitFailed
 
     # lattice sweeps fit through complexity's replicate engine
     monkeypatch.setattr(complexity, "lse_fit", fail)
     monkeypatch.setattr(experiments, "lse_fit", fail)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(FitFailed):
         run_fixed_sweep(_cfg(n_grid=(4, 9), replicates=3))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(FitFailed):
         run_random_sweep(_cfg(design="random", n_grid=(10, 20), replicates=4))
 
 

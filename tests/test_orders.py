@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from isodag import cli, design, orders
 from isodag.complexity import statdim_mc
-from isodag.design import DesignSampler, antichain_stats
+from isodag.design import DesignSampler, antichain_stats, sample_design
 from isodag.orders import (
     Dag,
     LatticeSpec,
@@ -30,6 +31,7 @@ from isodag.orders import (
     longest_chain,
     maximum_antichain,
     merge_duplicates,
+    planar_width,
 )
 from isodag.solvers import lse_fit
 from reference import enumerate_upper_lower_sets, upper_set_masks
@@ -662,11 +664,12 @@ def test_design_orders_are_swept_once(shape, monkeypatch):
     assert_valid_antichain_report(dag, report)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [3])
 def test_antichain_stats_reads_the_antichain_alone(d, monkeypatch):
-    """``antichain_stats`` calls ``maximum_antichain`` through the name bound
-    in ``isodag.design`` once per replicate (the benchmark tracer wraps that
-    name), and no replicate builds a chain cover or splits."""
+    """Above the plane, ``antichain_stats`` calls ``maximum_antichain``
+    through the name bound in ``isodag.design`` once per replicate (the
+    benchmark tracer wraps that name), and no replicate builds a chain cover
+    or splits."""
     reports = []
     real = design.maximum_antichain
     monkeypatch.setattr(design, "maximum_antichain",
@@ -679,6 +682,82 @@ def test_antichain_stats_reads_the_antichain_alone(d, monkeypatch):
     assert stats.sizes.tolist() == [len(r.antichain) for r in reports]
     assert all("chain_cover" not in r.__dict__ and "upper_split" not in r.__dict__
                for r in reports)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_antichain_stats_takes_planar_widths_from_the_points(d, monkeypatch):
+    """In the plane ``antichain_stats`` builds no order and runs no antichain
+    route: each replicate's size is the width of its drawn points, which is
+    the width of the order built from them."""
+    calls = []
+    for name in ("build_design_dag", "maximum_antichain"):
+        monkeypatch.setattr(design, name, lambda *a, name=name: calls.append(name))
+    sampler = DesignSampler.uniform(d)
+    stats = antichain_stats(d, 150, sampler, replicates=4, seed=5, stream_id=2)
+    assert calls == []
+    assert stats.sizes.tolist() == [
+        len(maximum_antichain(build_design_dag(sample_design(sampler, 150, 5, 2 + r)))
+            .antichain) for r in range(4)]
+
+
+# coordinates with ties, the cube's ends and both zeros
+_CUBE_COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0]),
+                         st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(st.integers(min_value=1, max_value=2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_planar_width_is_the_built_orders_width(d, data):
+    """The width of the points as drawn, duplicates included, is the width
+    of the order on the merged points."""
+    base = data.draw(arrays(float, st.tuples(st.integers(1, 30), st.just(d)),
+                            elements=_CUBE_COORDS))
+    repeats = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=10))
+    points = np.concatenate([base, base[repeats]])
+    points = points[data.draw(st.permutations(range(len(points))))]
+    if d == 1 and data.draw(st.booleans()):
+        points = points.ravel()
+    expected = len(maximum_antichain(build_design_dag(points)).antichain)
+    assert planar_width(points) == expected
+
+
+@pytest.mark.parametrize("bad", [[[0.5, np.nan]], [np.nan], [[0.2, np.inf]],
+                                 [[0.5, 1.5]], [[-0.1, 0.5]], [0.5, 2.0], []])
+def test_planar_width_checks_points_as_the_builder_does(bad):
+    with pytest.raises(ValueError):
+        build_design_dag(bad)
+    with pytest.raises(ValueError):
+        planar_width(bad)
+
+
+def test_planar_width_leaves_higher_dimensions_to_the_order():
+    points = np.random.default_rng(4).random((50, 3))
+    assert planar_width(points) is None
+    with pytest.raises(ValueError):
+        planar_width(points + 1.0)
+
+
+@pytest.mark.parametrize("sides", [(1,), (40,), (1, 6), (5, 8), (12, 12)])
+def test_planar_lattices_state_their_points(sides, monkeypatch):
+    """``build_lattice`` in the plane stores its labels as the planar proof,
+    so ``maximum_antichain`` runs no sweep on it; its report is the one of
+    the same order built by the public constructor, which sweeps to prove it."""
+    dag = build_lattice(LatticeSpec(sides))
+    sweeps = _spy(monkeypatch, "_planar_covers")
+    report = maximum_antichain(dag)
+    assert sweeps == []
+    given_order = Dag(dag.n_vertices, dag.cover_edges, labels=dag.labels)
+    expected = maximum_antichain(given_order)
+    assert len(sweeps) == 1
+    assert dag._planar_points.tobytes() == given_order._planar_points.tobytes()
+    for name in ("antichain", "upper_split", "lower_split"):
+        assert getattr(report, name).tobytes() == getattr(expected, name).tobytes()
+    assert [c.tolist() for c in report.chain_cover] == [
+        c.tolist() for c in expected.chain_cover]
+
+
+def test_cube_lattices_state_no_planar_points():
+    assert build_lattice(LatticeSpec((3, 3, 3)))._planar_points is None
 
 
 @pytest.mark.parametrize("shape", [(400, 2), (400,)])

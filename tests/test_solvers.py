@@ -462,14 +462,26 @@ def test_partition_fits_disjoint_replicates_as_if_alone():
         assert np.array_equal(together[r], lse_fit(part, ys[r]).theta_hat), r
 
 
-def test_partition_pools_blocks_left_an_ulp_out_of_order():
-    # The final blocks {1, 2} and {3..8} both have exact mean 0.45, but
-    # their floating-point means come out as 0.45 and 0.4499999999999999,
-    # out of order across the cover edges 1 -> 4 and 2 -> 5.
+def test_partition_pools_blocks_left_an_ulp_out_of_order(monkeypatch):
+    # The final blocks {4, 6, 7} and {2, 5, 8} both have exact mean 0.4, but
+    # their floating-point means come out as 0.4000000000000001 and
+    # 0.39999999999999997, out of order across the cover edges 4 -> 5 and
+    # 7 -> 8, so lse_fit pools them.
     dag = build_lattice(LatticeSpec((3, 3)))
-    y = np.array([0.1, 0.8, 0.1, 1.4, 1.5, 0.3, 0.0, -0.8, 0.3])
+    y = np.array([1.3, -0.3, 0.7, -0.5, 0.8, 1.0, 1.3, -0.9, -0.5])
+    violated = []
+    real = solvers._pool_violators
+
+    def spy(theta, label, w, ys, eu, ev):
+        violated.append([(u, v) for u, v in zip(eu.tolist(), ev.tolist())
+                         if theta[u] > theta[v]])
+        return real(theta, label, w, ys, eu, ev)
+
+    monkeypatch.setattr(solvers, "_pool_violators", spy)
     res = lse_fit(dag, y)
+    assert violated == [[(4, 5), (7, 8)]]
     assert res.max_violation <= 0.0
+    assert np.unique(res.theta_hat[[2, 4, 5, 6, 7, 8]]).size == 1
     oracle = minmax_project_oracle(IsotonicProblem(dag, y))
     assert np.max(np.abs(res.theta_hat - oracle)) <= 1e-12 * np.max(np.abs(y))
 
