@@ -565,7 +565,7 @@ def test_planar_route_matches_dense_reference(n, grid, seed, read_order):
     uniq = dag.labels
     le = (uniq[:, None, :] <= uniq[None, :, :]).all(axis=2)
     np.fill_diagonal(le, False)
-    assert "cover_edges" not in dag.__dict__   # swept when first read
+    assert "cover_edges" in dag.__dict__   # swept when built
     expected = _transitive_reduction(le)
     assert dag.cover_edges.dtype == expected.dtype
     assert np.array_equal(dag.cover_edges, expected)
@@ -649,17 +649,15 @@ def test_line_orders_take_the_planar_route(case, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(300, 2), (300,)])
 def test_design_orders_are_swept_once(shape, monkeypatch):
-    """build_design_dag's points are the planar proof maximum_antichain uses,
-    so antichains take no sweep; the cover edges are swept from the points
-    once, on their first read."""
+    """build_design_dag sweeps its points once and keeps them as the planar
+    proof, so neither the antichain, the fit nor a later read of the cover
+    edges sweeps again."""
     sweeps = _spy(monkeypatch, "_planar_covers")
-    d = len(shape)
-    antichain_stats(d, shape[0], DesignSampler.uniform(d), replicates=3, seed=2)
     dag = build_design_dag(np.random.default_rng(2).random(shape))
-    report = maximum_antichain(dag)
-    assert sweeps == []
-    edges = dag.cover_edges
     assert len(sweeps) == 1
+    edges = dag.cover_edges
+    report = maximum_antichain(dag)
+    lse_fit(dag, np.random.default_rng(3).standard_normal(dag.n_vertices))
     assert dag.cover_edges is edges and len(sweeps) == 1
     assert_valid_antichain_report(dag, report)
 
@@ -761,16 +759,16 @@ def test_cube_lattices_state_no_planar_points():
 
 
 @pytest.mark.parametrize("shape", [(400, 2), (400,)])
-def test_lazy_design_edges_fit_and_serialize_as_given_ones(shape):
-    """A design order whose edges are swept on first read fits and
-    serializes bitwise as the same order with the sweep's edges handed to
-    the constructor, as the builder made it before the sweep was deferred."""
+def test_design_edges_fit_and_serialize_as_given_ones(shape):
+    """A design order built from points of the plane fits and serializes
+    bitwise as the same order with the sweep's edges handed to the public
+    constructor, which proves them by sweeping its labels."""
     rng = np.random.default_rng(8)
     dag = build_design_dag(np.round(rng.random(shape) * 30) / 30)   # repeats carry weight
     given_edges = Dag(dag.n_vertices, orders._planar_covers(dag._planar_points),
                       labels=dag.labels, multiplicities=dag.multiplicities)
     y = dag.labels.sum(axis=1) + rng.standard_normal(dag.n_vertices)
-    fit = lse_fit(dag, y)   # the fit makes the first read of the edges
+    fit = lse_fit(dag, y)
     expected = lse_fit(given_edges, y)
     assert fit.theta_hat.tobytes() == expected.theta_hat.tobytes()
     assert fit.residual.tobytes() == expected.residual.tobytes()
