@@ -190,20 +190,18 @@ def _design_draws(d: int, n: int, sampler: DesignSampler, replicates: int,
     return (sample_design(sampler, n, seed, stream_id + r) for r in range(replicates))
 
 
-def _width(points) -> int:
-    """Size of a maximum antichain of the dominance order on ``points``:
-    the patience piles of the points themselves for ``d <= 2``, otherwise
-    :func:`maximum_antichain` of the built order."""
-    width = planar_width(points)
-    if width is None:
-        width = len(maximum_antichain(build_design_dag(points)).antichain)
-    return width
-
-
 def antichain_stats(d: int, n: int, sampler: DesignSampler, replicates: int,
                     seed: int, stream_id: int = 0) -> AntichainStats:
+    """Maximum-antichain sizes of ``replicates`` seeded draws of ``n`` points.
+
+    For ``d <= 2`` each width comes from :func:`planar_width` of the drawn
+    points, with no order built; for ``d >= 3`` from :func:`maximum_antichain`
+    of :func:`build_design_dag`.
+    """
     draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
-    sizes = np.array([_width(points) for points in draws], dtype=np.int64)
+    sizes = np.array([planar_width(points) if d <= 2
+                      else len(maximum_antichain(build_design_dag(points)).antichain)
+                      for points in draws], dtype=np.int64)
     bound = n ** (1.0 - 1.0 / d) / (2.0 * math.e * sampler.M0 ** (1.0 / d))
     frac = float(np.mean(sizes >= bound))
     return AntichainStats(sizes=sizes, mean_size=float(sizes.mean()),

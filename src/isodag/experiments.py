@@ -181,7 +181,7 @@ _L2P_STREAM_OFFSET = 1_000_000_000
 
 
 def run_random_sweep(config: ExperimentConfig) -> RiskReport:
-    """Random-design risk sweep against the sampler's density.
+    """Random-design risk sweep against the sampler's density, for ``d >= 2``.
 
     Each replicate owns one stream and uses it for the design draw first,
     then the noise, so the pair ``(X, eps)`` is a deterministic function of
@@ -198,6 +198,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
     """
     if config.design != "random":
         raise ValueError("run_random_sweep requires a random design")
+    if config.d < 2:
+        raise ValueError("the random-design bounds define gamma only for d >= 2")
     if config.signal is not None and isinstance(config.signal, SignalSpec):
         raise ValueError("random sweeps take a callable (or None) signal")
     sampler = config.sampler or DesignSampler.uniform(config.d)

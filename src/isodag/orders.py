@@ -12,9 +12,9 @@ Two constructors cover the cases used throughout the package:
 * :func:`build_design_dag` builds the induced order on a finite set of points
   in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  For
   ``d <= 2`` one sweep of the points of the plane (a line's points as the
-  diagonal ``(x, x)``) gives the cover edges with no n x n matrix, and the
-  points are stored as the order's planar proof; higher dimensions use the
-  dense dominance matrix.
+  diagonal ``(x, x)``, a chain that needs only its sort) gives the cover
+  edges with no n x n matrix, and the points are stored as the order's
+  planar proof; higher dimensions use the dense dominance matrix.
 
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
 the same size.  On an order that is planar dominance of its labels (one
@@ -385,14 +385,20 @@ def _planar_covers(pts: np.ndarray) -> np.ndarray:
     is strictly below the y of every candidate between them, a point ``k``
     with ``p < k < q`` and ``y_k >= y_p``.  So along row ``p`` the covers
     are the strict new minima of the running minimum over the candidates.
-    Rows are swept in chunks of ``_SWEEP_ROWS``.  For distinct points the
+    Rows are swept in chunks of ``_SWEEP_ROWS``; if the sorted y never
+    decreases (a line's ``(x, x)`` always), the points are a chain whose
+    covers are its consecutive pairs, with no sweep.  For distinct points the
     edges equal ``_transitive_reduction`` of the dominance matrix, in the
     same row-major ``(u, v)`` order.
     """
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     n = len(order)
+    ys = pts[order, 1]
+    if np.all(ys[1:] >= ys[:-1]):   # a chain: each point covers the one before
+        u, v = np.divmod(np.sort(order[:-1] * n + order[1:]), n)
+        return np.stack([u, v], axis=1).astype(np.int64)
     # y as int32 ranks (equal y, equal rank): the running minimum is cheaper
-    y = np.unique(pts[order, 1], return_inverse=True)[1].astype(np.int32)
+    y = np.unique(ys, return_inverse=True)[1].astype(np.int32)
     keys = []   # edge (u, v) as u * n + v, which sorts in row-major order
     for a in range(0, n - 1, _SWEEP_ROWS):
         k = min(_SWEEP_ROWS, n - 1 - a)
@@ -406,8 +412,6 @@ def _planar_covers(pts: np.ndarray) -> np.ndarray:
         np.less(low[:, 1:], low[:, :-1], out=cover[:, 1:])
         r, c = np.divmod(np.flatnonzero(cover), n - 1 - a)
         keys.append(order[a + r] * n + order[a + 1 + c])
-    if not keys:
-        return np.zeros((0, 2), dtype=np.int64)
     u, v = np.divmod(np.sort(np.concatenate(keys)), n)
     return np.stack([u, v], axis=1).astype(np.int64)
 
@@ -552,15 +556,15 @@ def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None
 
     * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, taken in
       chunks of rows, so memory is O(n) per row and no n x n matrix is made.
-      A point ``x`` of the line is swept as ``(x, x)``; the labels keep one
-      column.  The swept points are stored as the dag's planar proof, so
-      :func:`maximum_antichain` sweeps nothing more.  The sweep is O(n^2)
-      and runs here, also for a caller that wants the width alone: on
-      uniform points and a 2-core machine, 17-21 ms at n = 2000 and
-      0.32-0.42 s at n = 10^4, against 1 and 4-7 ms for the patience
-      antichain.  :func:`planar_width` gives that width with no order
-      built.  Reachability is built from the cover edges only if someone
-      asks for it.
+      A point ``x`` of the line is read as ``(x, x)``; the labels keep one
+      column.  The points are stored as the dag's planar proof, so
+      :func:`maximum_antichain` sweeps nothing more.  A chain of points, as
+      a line's always is, needs only the sort; otherwise the O(n^2) sweep
+      runs here, also for a caller that wants the width alone: on uniform
+      points and a 2-core machine, 17-21 ms at n = 2000 and 0.32-0.42 s at
+      n = 10^4, against 1 and 4-7 ms for the patience antichain.
+      :func:`planar_width` gives that width with no order built.
+      Reachability is built from the cover edges only if someone asks for it.
     * ``d >= 3``: the dense n x n dominance matrix, reduced with an
       O(n^3) float32 matrix product and then dropped.
 
@@ -599,8 +603,6 @@ def is_isotonic(dag: Dag, theta, tol: float = 0.0) -> bool:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dag.n_vertices,):
         raise ValueError("theta length does not match vertex count")
-    if dag.cover_edges.size == 0:
-        return True
     u = dag.cover_edges[:, 0]
     v = dag.cover_edges[:, 1]
     return bool(np.all(theta[u] <= theta[v] + tol))

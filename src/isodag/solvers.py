@@ -401,10 +401,7 @@ def lse_fit(dag: Dag, y) -> ProjectionResult:
 def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,
                        iterations: int) -> ProjectionResult:
     edges = problem.dag.cover_edges
-    if edges.size:
-        max_violation = float(np.max(theta[edges[:, 0]] - theta[edges[:, 1]], initial=0.0))
-    else:
-        max_violation = 0.0
+    max_violation = float(np.max(theta[edges[:, 0]] - theta[edges[:, 1]], initial=0.0))
     # Evaluated at unit binary scale, which is exact for ordinary data; near
     # the ends of the float range the Python division reads 0 or inf
     # instead of warning of under- or overflow.

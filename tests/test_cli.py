@@ -216,6 +216,13 @@ def test_sweep_random_round_trip(tmp_path, capsys):
                  "--signal", "nope", "--out", str(tmp_path / "z.csv")]) == 2
 
 
+def test_sweep_random_refuses_d1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "d1.csv"
+    assert main(["sweep-random", "--d", "1", "--n-grid", "20", "--reps", "2",
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err and not out.exists()
+
+
 def test_sweep_random_population_risk_option(tmp_path, capsys):
     out = tmp_path / "pop.json"
     code = main(["sweep-random", "--d", "2", "--n-grid", "16", "--reps", "4",

@@ -226,6 +226,17 @@ def test_random_sweep_rejects_spec_signal():
                               sampler=DesignSampler.uniform(2)))
 
 
+def test_random_sweep_refuses_d1_before_any_draw(monkeypatch):
+    """The random-design bounds define gamma only for d >= 2, so a d = 1
+    sweep fails before its first draw or fit, not after every fit."""
+    calls = []
+    monkeypatch.setattr(experiments, "draw_design", lambda *a: calls.append("draw"))
+    monkeypatch.setattr(experiments, "lse_fit", lambda *a: calls.append("fit"))
+    with pytest.raises(ValueError, match="gamma only for d >= 2"):
+        run_random_sweep(_cfg(design="random", d=1, n_grid=(10, 20), replicates=3))
+    assert calls == []
+
+
 def test_random_sweep_zero_signal_tracks_lattice_statdim():
     cfg = _cfg(design="random", n_grid=(256,), replicates=10, seed=2)
     row = run_random_sweep(cfg).rows[0]

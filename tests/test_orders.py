@@ -550,18 +550,27 @@ def test_flow_route_builds_no_closure(monkeypatch):
 
 
 @given(st.integers(min_value=1, max_value=80), st.sampled_from([None, 2, 4, 8]),
-       st.integers(min_value=0, max_value=2**32 - 1), st.permutations(REPORT_FIELDS))
-@settings(max_examples=60, deadline=None)
-def test_planar_route_matches_dense_reference(n, grid, seed, read_order):
+       st.integers(min_value=0, max_value=2**32 - 1), st.permutations(REPORT_FIELDS),
+       st.sampled_from(["plane", "line", "sorted"]))
+@settings(max_examples=90, deadline=None)
+def test_planar_route_matches_dense_reference(n, grid, seed, read_order, shape):
     """The sweep's cover edges and the patience antichain against the dense
     dominance matrix and the reference matching, with shared coordinates (points
-    snapped to a grid of ``1/grid``) and repeated points."""
+    snapped to a grid of ``1/grid``), repeated points and signed zeros.  A
+    ``line`` (one column) and two columns ``sorted`` apart are chains, whose
+    covers come from the sort alone."""
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
+    pts = rng.random((n, 1 if shape == "line" else 2))
     if grid is not None:
         pts = np.round(pts * grid) / grid
+    if shape == "sorted":
+        pts = np.sort(pts, axis=0)[rng.permutation(n)]
+    pts[pts < 0.1] = 0.0   # a monotone map: chains stay chains
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
     pts = np.concatenate([pts, pts[rng.integers(0, n, size=n // 3)]])
     dag = build_design_dag(pts)
+    if shape != "plane":
+        assert len(dag.cover_edges) == dag.n_vertices - 1
     uniq = dag.labels
     le = (uniq[:, None, :] <= uniq[None, :, :]).all(axis=2)
     np.fill_diagonal(le, False)

@@ -114,6 +114,24 @@ def test_is_chain():
     assert is_chain(Dag(1, []))
 
 
+@pytest.mark.parametrize("y", [[0.5, -1.25, 3.0], [-0.0, 1e300, -1e300],
+                               [1e-300, -3e-300, 4.0], [7.0, 7.0, -2.0]])
+def test_orders_without_edges_fit_to_their_data(y):
+    """With no cover edge, the partition route (three vertices) and the chain
+    route (one vertex) return the data bitwise with no violation.  (Data that
+    the binary rescaling takes below the normal range lose low bits there.)"""
+    y = np.array(y)
+    for dag, data in ((Dag(3, []), y), (Dag(1, []), y[:1])):
+        result = lse_fit(dag, data)
+        assert result.theta_hat.tobytes() == data.tobytes()
+        assert result.max_violation == 0.0
+
+
+@given(arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_any_finite_data_is_isotonic_without_edges(y):
+    assert is_isotonic(Dag(3, []), y)
+
+
 def test_dykstra_matches_oracle_small():
     rng = np.random.default_rng(0)
     for trial in range(25):
