@@ -15,7 +15,8 @@ from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, default_ga
                          noise_stream, statdim_mc, width_lower_bound_mc)
 from .design import (AntichainStats, DesignSampler, FittedFunction, antichain_stats,
                      chain_probability_formulas, chain_tail_check, draw_design,
-                     empirical_risk, extend_estimator, l2p_risk_mc, sample_design)
+                     empirical_risk, extend_estimator, l2p_risk_mc, merge_observations,
+                     sample_design)
 from .experiments import (ExperimentConfig, RiskReport, RiskRow, Table1Row,
                           emit_report, fit_rate_exponent, lattice_side, read_report,
                           run_fixed_sweep, run_random_sweep, table1)

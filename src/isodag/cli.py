@@ -38,13 +38,13 @@ import numpy as np
 from . import __version__
 from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, gaussian_width_mc,
                          harmonic_sum, noise_stream, statdim_mc)
-from .design import DesignSampler, antichain_stats
+from .design import DesignSampler, antichain_stats, merge_observations
 from .experiments import (ExperimentConfig, Table1Row, emit_report, fit_rate_exponent,
                           lattice_side, read_report, run_fixed_sweep, run_random_sweep, table1,
                           write_csv, write_json)
-from .orders import (LatticeSpec, SizeCapError, build_design_dag, build_lattice,
-                     lattice_vertices, level_cardinalities, level_antichain_report,
-                     longest_chain, maximum_antichain, merge_duplicates)
+from .orders import (LatticeSpec, SizeCapError, build_lattice, lattice_vertices,
+                     level_cardinalities, level_antichain_report, longest_chain,
+                     maximum_antichain)
 from .signals import (AssouadSpec, SignalSpec, assouad_fixed, generate_signal,
                       random_staircase_spec)
 from .solvers import (CertificateError, IsotonicProblem, lse_fit,
@@ -215,13 +215,10 @@ def _cmd_fit(args) -> int:
         if not rows:
             raise ValueError("no data rows in input")
         arr = np.asarray([[float(v) for v in row] for row in rows])
-        points, y = arr[:, 1:-1], arr[:, -1]
-        if points.shape[1] != args.d:
-            raise ValueError(f"--d {args.d} but file has {points.shape[1]} coordinates")
-        firsts, idx = merge_duplicates(points)
-        dag = build_design_dag(points, merged=(firsts, idx))
-        ybar = np.bincount(idx, weights=y) / dag.weights()
-        coords = points
+        coords, y = arr[:, 1:-1], arr[:, -1]
+        if coords.shape[1] != args.d:
+            raise ValueError(f"--d {args.d} but file has {coords.shape[1]} coordinates")
+        dag, ybar, (_, idx) = merge_observations(coords, y)
     else:
         if args.n1 is None:
             raise ValueError("fit needs --data or --n1")

@@ -1,15 +1,17 @@
 """Random-design isotonic regression on the unit cube.
 
 Covariates are drawn from a piecewise-constant density on a dyadic grid
-(:class:`DesignSampler`), the fit is the least-squares isotonic vector on
-the induced comparability DAG, and the fitted vector extends to all of
-``[0, 1]^d`` by the upper-set minimum rule
+(:class:`DesignSampler`), :func:`merge_observations` turns observations into
+the merged comparability DAG and its mean responses, the fit is the
+least-squares isotonic vector there, and the fitted vector extends to all
+of ``[0, 1]^d`` by the upper-set minimum rule
 
 ``f_hat(x) = min({f_hat(X_i) : X_i >= x} U {max_i f_hat(X_i)})``,
 
 which is the smallest increasing extension consistent with the fitted
-values (falling back to the overall maximum above the data).  Alongside the
-fitting pipeline: empirical and population risk instruments and the two
+values (falling back to the overall maximum above the data); design and
+query points pass the one point check of :mod:`isodag.orders`.  Alongside
+the fitting pipeline: empirical and population risk instruments and the two
 order statistics of the random design the theory leans on -- the size of a
 maximum antichain and the probability of long chains.
 """
@@ -22,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import MonteCarloEstimate, mc_aggregate, noise_stream
-from .orders import build_design_dag, longest_chain, maximum_antichain, planar_width
+from .orders import (Dag, _cube_points, build_design_dag, longest_chain, maximum_antichain,
+                     planar_width)
+from .signals import _cube_function
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,19 @@ class FittedFunction:
 
     @classmethod
     def from_fit(cls, points, values) -> "FittedFunction":
-        points = np.asarray(points, dtype=float)
+        points = _cube_points(points)
         values = np.asarray(values, dtype=float)
-        if points.ndim != 2 or values.shape != (points.shape[0],):
+        if values.shape != (points.shape[0],):
             raise ValueError("need (n, d) points and matching values")
         return cls(points=points, values=values, max_fitted=float(values.max()))
+
+
+def merge_observations(points, y) -> tuple[Dag, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``(dag, ybar, (firsts, inverse))`` of observations ``(points, y)``:
+    :func:`build_design_dag` of the points, the mean response per vertex (the
+    data of ``lse_fit(dag, ybar)``) and the builder's one merge of the points."""
+    dag = build_design_dag(points)
+    return dag, np.bincount(dag._merge[1], weights=y) / dag.weights(), dag._merge
 
 
 def extend_estimator(fit: FittedFunction, x) -> np.ndarray | float:
@@ -126,21 +138,18 @@ def extend_estimator(fit: FittedFunction, x) -> np.ndarray | float:
     The value at ``x`` is the minimum fitted value over design points that
     dominate ``x`` componentwise, or ``max_fitted`` when none does.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts.reshape(1, -1)
-    if pts.ndim != 2 or pts.shape[1] != fit.points.shape[1]:
-        raise ValueError("query dimension does not match the design")
-    out = np.empty(pts.shape[0])
-    # chunk the (queries x design) dominance matrix to bound memory
-    chunk = max(1, 2_000_000 // max(1, fit.points.shape[0]))
-    for s in range(0, pts.shape[0], chunk):
-        block = pts[s:s + chunk]
-        dom = np.all(fit.points[None, :, :] >= block[:, None, :], axis=2)
-        vals = np.where(dom, fit.values[None, :], np.inf).min(axis=1)
-        out[s:s + chunk] = np.where(np.isfinite(vals), vals, fit.max_fitted)
-    return float(out[0]) if single else out
+    def values(pts):
+        out = np.empty(pts.shape[0])
+        # chunk the (queries x design) dominance matrix to bound memory
+        chunk = max(1, 2_000_000 // max(1, fit.points.shape[0]))
+        for s in range(0, pts.shape[0], chunk):
+            block = pts[s:s + chunk]
+            dom = np.all(fit.points[None, :, :] >= block[:, None, :], axis=2)
+            vals = np.where(dom, fit.values[None, :], np.inf).min(axis=1)
+            out[s:s + chunk] = np.where(np.isfinite(vals), vals, fit.max_fitted)
+        return out
+
+    return _cube_function(fit.points.shape[1], values)(x)
 
 
 def empirical_risk(fit: FittedFunction, f0_at_points) -> float:

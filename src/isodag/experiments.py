@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, fit_errors,
                          harmonic_sum, mc_aggregate, noise_stream, statdim_mc)
-from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc
-from .orders import LatticeSpec, build_design_dag, build_lattice, merge_duplicates
+from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc, merge_observations
+from .orders import LatticeSpec, build_lattice
 from .signals import SignalSpec, generate_signal
 from .solvers import lse_fit
 
@@ -217,17 +217,14 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             X = draw_design(rng, sampler, n)
             fvals = np.asarray(truth(X), dtype=float)
             y = fvals + rng.standard_normal(n)
-            firsts, inverse = merge_duplicates(X)
-            dag = build_design_dag(X, merged=(firsts, inverse))
-            w = dag.weights()
-            theta = lse_fit(dag, np.bincount(inverse, weights=y) / w).theta_hat
+            dag, ybar, (firsts, _) = merge_observations(X, y)
+            theta = lse_fit(dag, ybar).theta_hat
             if config.mc_points:
                 fit = FittedFunction.from_fit(X[firsts], theta)
-                l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points,
-                                      config.seed,
+                l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points, config.seed,
                                       _L2P_STREAM_OFFSET + base + r).mean
             diff = theta - fvals[firsts]
-            qs[r] = np.dot(w * diff, diff)
+            qs[r] = np.dot(dag.weights() * diff, diff)
         per_n.append((n, mc_aggregate(qs, config.seed, base), False))
         if config.mc_points:
             est = mc_aggregate(l2ps, config.seed, _L2P_STREAM_OFFSET + base)

@@ -10,7 +10,8 @@ Two constructors cover the cases used throughout the package:
 * :func:`build_lattice` builds the grid order on ``{1..n_1} x ... x {1..n_d}``
   where ``u <= v`` iff the inequality holds coordinatewise.
 * :func:`build_design_dag` builds the induced order on a finite set of points
-  in ``[0, 1]^d``, merging exact duplicates into weighted vertices.  For
+  in ``[0, 1]^d``, merging exact duplicates into weighted vertices, after
+  the package's one point check (nonempty, finite, inside the cube).  For
   ``d <= 2`` one sweep of the points of the plane (a line's points as the
   diagonal ``(x, x)``, a chain that needs only its sort) gives the cover
   edges with no n x n matrix, and the points are stored as the order's
@@ -531,8 +532,8 @@ def merge_duplicates(points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cube_points(points) -> np.ndarray:
-    """``points`` as a float ``(n, d)`` array (one column for a 1-d array),
-    checked to be nonempty, finite and inside ``[0, 1]^d``."""
+    """``points`` as a float ``(n, d)`` array (one column for a 1-d array): the
+    package's one check that points are nonempty, finite and in ``[0, 1]^d``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -543,14 +544,13 @@ def _cube_points(points) -> np.ndarray:
     return pts
 
 
-def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None) -> Dag:
+def build_design_dag(points) -> Dag:
     """Partial order induced on points of ``[0, 1]^d`` by coordinatewise <=.
 
     Equal points are merged by :func:`merge_duplicates` into one vertex
-    carrying a multiplicity weight.  Vertices keep the first-occurrence
-    order of the input.  Non-finite coordinates are rejected.  A caller
-    that needs the merge itself, to average responses per vertex, passes
-    ``merged=merge_duplicates(points)`` and the builder does not merge again.
+    carrying a multiplicity weight, kept as the dag's ``_merge``.  Vertices
+    keep the first-occurrence order of the input.  The points are checked by
+    :func:`_cube_points`, which rejects non-finite coordinates.
 
     The cover edges are built by one of two routes, chosen by ``d``:
 
@@ -571,7 +571,7 @@ def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None
     Both give the same cover edges in the same row-major ``(u, v)`` order.
     """
     pts = _cube_points(points)
-    firsts, inverse = merge_duplicates(pts) if merged is None else merged
+    firsts, inverse = merge_duplicates(pts)
     mult = np.bincount(inverse)
     uniq = pts[firsts]
     n = uniq.shape[0]
@@ -591,6 +591,7 @@ def build_design_dag(points, merged: tuple[np.ndarray, np.ndarray] | None = None
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
     dag.__dict__["_planar_points"] = planar
+    dag._merge = (firsts, inverse)
     return dag
 
 

@@ -19,7 +19,8 @@ the combinatorial gadgets the lower-bound arguments are built from:
 Vectors live on lattice vertices in row-major order (see
 :mod:`isodag.orders`); functions live pointwise on ``[0, 1]^d``.  The
 functions built here accept ``(d,)`` or ``(m, d)`` arrays and refuse points
-outside the cube.  A function handed in (to :func:`grid_values`,
+outside the cube, a non-finite coordinate included, by the one check of
+:mod:`isodag.orders`.  A function handed in (to :func:`grid_values`,
 :func:`riemann_envelopes`) must map an ``(m, d)`` array to ``m`` values;
 anything else raises ``ValueError``.
 """
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .orders import (AntichainReport, Dag, LatticeSpec, SizeCapError,
+from .orders import (AntichainReport, Dag, LatticeSpec, SizeCapError, _cube_points,
                      lattice_vertices)
 
 SIGNAL_KINDS = ("constant", "staircase", "linear_mean", "r_variable", "custom_grid")
@@ -145,7 +147,7 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         nlev = len(spec.levels)
         bins = np.minimum((s * nlev) // (span + 1), nlev - 1)
         theta = np.asarray(spec.levels, dtype=float)[bins]
-    elif spec.kind == "custom_grid":
+    else:  # "custom_grid", the last kind that __post_init__ admits
         theta = np.asarray(spec.grid, dtype=float)
         if theta.shape != (lattice.n,):
             raise ValueError("grid length does not match lattice size")
@@ -153,8 +155,6 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         for j in range(d):
             if sides[j] > 1 and np.any(np.diff(arr, axis=j) < 0):
                 raise ValueError("custom grid is not isotonic")
-    else:  # pragma: no cover -- guarded in __post_init__
-        raise ValueError(spec.kind)
     if spec.bounded:
         theta = theta / max(1.0, float(np.max(np.abs(theta))))
     return theta
@@ -182,18 +182,19 @@ def _snap_int(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - r) <= _SNAP * np.maximum(1.0, np.abs(x)), r, x)
 
 
-def _as_points(x, d: int) -> tuple[np.ndarray, bool]:
-    """``(d,)`` or ``(m, d)`` points in ``[0, 1]^d`` as an ``(m, d)`` array,
-    and whether a single point was given."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts.reshape(1, -1)
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"points must have {d} coordinates")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("points must lie in [0, 1]^d")
-    return pts, single
+def _cube_function(d: int, batch):
+    """``batch``, a map of checked ``(m, d)`` points to ``m`` values, as a
+    function on ``[0, 1]^d`` of ``(d,)`` points (giving a float) or
+    ``(m, d)`` points; here and in :func:`isodag.design.extend_estimator`."""
+    def f(x):
+        pts = np.asarray(x, dtype=float)
+        single = pts.ndim == 1
+        pts = _cube_points(pts.reshape(1, -1) if single else pts)
+        if pts.shape[1] != d:
+            raise ValueError(f"points must have {d} coordinates")
+        vals = batch(pts)
+        return float(vals[0]) if single else vals
+    return f
 
 
 def step_function(theta, lattice: LatticeSpec):
@@ -210,17 +211,13 @@ def step_function(theta, lattice: LatticeSpec):
     if theta.shape != (lattice.n,):
         raise ValueError("theta length does not match lattice size")
     arr = theta.reshape(lattice.side_lengths)
-    d = lattice.d
 
-    def f(x):
-        pts, single = _as_points(x, d)
+    def values(pts):
         idx = np.ceil(_snap_int(pts * sides)).astype(np.int64)
-        np.clip(idx, 1, np.asarray(lattice.side_lengths) , out=idx)
-        vals = arr[tuple((idx - 1).T)]
-        return float(vals[0]) if single else vals
+        np.clip(idx, 1, np.asarray(lattice.side_lengths), out=idx)
+        return arr[tuple((idx - 1).T)]
 
-    f.lattice = lattice
-    return f
+    return _cube_function(lattice.d, values)
 
 
 def grid_values(f, lattice: LatticeSpec) -> np.ndarray:
@@ -265,16 +262,14 @@ def riemann_envelopes(f, n1: int, d: int):
                      axis=-1).reshape(-1, d) / n1
     V = _eval_points(f, nodes).reshape((n1 + 1,) * d)
 
-    def _env(x, up: bool):
-        pts, single = _as_points(x, d)
+    def _env(pts, up: bool):
         scaled = _snap_int(pts * n1)
         idx = (np.ceil(scaled) if up else np.floor(scaled)).astype(np.int64)
         np.clip(idx, 0, n1, out=idx)
-        vals = V[tuple(idx.T)]
-        return float(vals[0]) if single else vals
+        return V[tuple(idx.T)]
 
-    f_lower = lambda x: _env(x, up=False)
-    f_upper = lambda x: _env(x, up=True)
+    f_lower = _cube_function(d, partial(_env, up=False))
+    f_upper = _cube_function(d, partial(_env, up=True))
     lo = V[(slice(0, n1),) * d]
     hi = V[(slice(1, n1 + 1),) * d]
     integral = float(np.sum((hi - lo) ** 2)) / n1 ** d
@@ -373,18 +368,17 @@ def assouad_random(d: int, n1: int, tau=None, rho: float | None = None,
     # value on each diagonal cell, keyed by its tuple of 1-based coordinates
     cell_key = {tuple(c): rho * float(t) for c, t in zip(cells.tolist(), tau)}
 
-    def f(x):
-        pts, single = _as_points(x, d)
+    def values(pts):
         c = np.ceil(_snap_int(pts * n1)).astype(np.int64)
         s = c.sum(axis=1)
         vals = np.where(s >= n1 + 1, 1.0, 0.0)
-        on_diag = np.flatnonzero(s == n1)
-        for i in on_diag:
+        for i in np.flatnonzero(s == n1):
             # boundary faces (some ceil = 0) fall in no half-open cell; they
             # have measure zero and take the value 0 from below
             vals[i] = cell_key.get(tuple(c[i]), 0.0)
-        return float(vals[0]) if single else vals
+        return vals
 
+    f = _cube_function(d, values)
     f.cells = cells
     f.rho = float(rho)
     f.tau = tau
@@ -623,12 +617,9 @@ def packing_set_2d(ell: int) -> PackingSet:
         shrink = np.where(row[bit_of_cell] == 1, 2.0 ** -0.5, 1.0)
         vectors[i] = -(base * shrink) / logn
     cell_gap = (1.0 - 2.0 ** -0.5) ** 2 / (4.0 * logn ** 2)
-    if len(accepted) > 1:
-        min_sq = float(np.min(pdist(vectors, metric="sqeuclidean")))
-        min_h = int(np.min(pdist(codes, metric="hamming")) * nbits + 0.5)
-    else:
-        min_sq = 0.0
-        min_h = 0
+    # the all-one word outlives the all-zero word, so there are >= 2 codewords
+    min_sq = float(np.min(pdist(vectors, metric="sqeuclidean")))
+    min_h = int(np.min(pdist(codes, metric="hamming")) * nbits + 0.5)
     return PackingSet(ell=ell, n1=n1, codewords=codes, vectors=vectors,
                       min_sq_distance=min_sq, min_hamming=min_h,
                       cell_sq_gap=cell_gap)

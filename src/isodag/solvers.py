@@ -301,7 +301,7 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
         identity = np.r_[identity, np.zeros(int(split.sum()), dtype=bool)]
     mean = np.bincount(label, w * ys) / np.bincount(label, w)
     theta = np.where(identity[label], ys, mean[label])
-    theta = _pool_violators(theta, label, w, ys, eu, ev) / unit
+    theta = _pool_violators(theta, label, w, ys, eu, ev)
     return _result_from_theta(problem, theta, iterations=levels)
 
 
@@ -392,22 +392,25 @@ def lse_fit(dag: Dag, y) -> ProjectionResult:
         return project_partition(problem)
     # at unit binary scale, so the pooled weighted sums cannot overflow
     order = dag.topo_order
-    theta = np.empty_like(problem.y)
-    theta[order] = isotonic_regression(problem.y[order] * problem.unit,
-                                       weights=problem.weights[order]).x / problem.unit
-    return _result_from_theta(problem, theta, iterations=1)
+    ts = np.empty_like(problem.y)
+    ts[order] = isotonic_regression(problem.y[order] * problem.unit,
+                                    weights=problem.weights[order]).x
+    return _result_from_theta(problem, ts, iterations=1)
 
 
-def _result_from_theta(problem: IsotonicProblem, theta: np.ndarray,
+def _result_from_theta(problem: IsotonicProblem, ts: np.ndarray,
                        iterations: int) -> ProjectionResult:
+    """The result of a route's fit ``ts`` of ``y * unit``: an entry left
+    bitwise at its datum is the datum itself, and the others are divided by
+    ``unit``, exactly unless the result is below the normal range."""
+    unit = problem.unit
+    ys = problem.y * unit
+    theta = np.where(ts.view(np.int64) == ys.view(np.int64), problem.y, ts / unit)
     edges = problem.dag.cover_edges
     max_violation = float(np.max(theta[edges[:, 0]] - theta[edges[:, 1]], initial=0.0))
-    # Evaluated at unit binary scale, which is exact for ordinary data; near
-    # the ends of the float range the Python division reads 0 or inf
-    # instead of warning of under- or overflow.
-    unit = problem.unit
-    ts = theta * unit
-    gap = float(abs(np.dot(problem.weights * (problem.y * unit - ts), ts))) / unit / unit
+    # At unit binary scale no sum of squares under- or overflows; near the
+    # ends of the float range the Python division reads 0 or inf instead.
+    gap = float(abs(np.dot(problem.weights * (ys - ts), ts))) / unit / unit
     return ProjectionResult(theta_hat=theta, residual=problem.y - theta,
                             iterations=iterations, max_violation=max_violation,
                             inner_product_gap=gap)

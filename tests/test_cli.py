@@ -12,7 +12,7 @@ import pytest
 
 import isodag
 from isodag.cli import main
-from isodag.complexity import statdim_mc
+from isodag.complexity import harmonic_sum, statdim_mc
 from isodag.experiments import read_report
 from isodag.orders import LatticeSpec, build_lattice
 
@@ -125,6 +125,14 @@ def test_statdim_output_matches_library(tmp_path, capsys):
     assert row["metric"] == "statdim" and int(row["n"]) == 9
 
 
+def test_statdim_bound_in_dimension_one_is_the_harmonic_sum(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["statdim", "--d", "1", "--n1", "8", "--reps", "5",
+                 "--out", str(out)]) == 0
+    assert f"bound_C1={harmonic_sum(8):.6g})" in capsys.readouterr().out
+    assert float(next(csv.DictReader(open(out)))["bound_C1"]) == harmonic_sum(8)
+
+
 def test_width_at_most_sqrt_statdim_cli(tmp_path):
     wout = tmp_path / "w.csv"
     sout = tmp_path / "s.csv"
@@ -216,6 +224,19 @@ def test_sweep_random_round_trip(tmp_path, capsys):
                  "--signal", "nope", "--out", str(tmp_path / "z.csv")]) == 2
 
 
+@pytest.mark.parametrize("command,constant", [("sweep-fixed", "2"), ("sweep-random", "0.5")])
+def test_constant_signal_risks_equal_the_zero_signals(tmp_path, command, constant):
+    """The cone contains the constants, so a constant signal shifts the data
+    and the fit alike: on the same streams its risks are the zero signal's."""
+    risks = []
+    for signal in ("zero", f"constant:{constant}"):
+        out = tmp_path / f"{signal}.csv"
+        assert main([command, "--d", "2", "--n-grid", "16,36", "--reps", "3",
+                     "--seed", "4", "--signal", signal, "--out", str(out)]) == 0
+        risks.append([row.risk_mean for row in read_report(str(out)).rows])
+    assert np.allclose(risks[1], risks[0], rtol=1e-9, atol=0.0)
+
+
 def test_sweep_random_refuses_d1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "d1.csv"
     assert main(["sweep-random", "--d", "1", "--n-grid", "20", "--reps", "2",
@@ -257,15 +278,15 @@ def test_antichain_rejects_d_below_one_naming_d(capsys):
 
 
 def test_fit_from_data_merges_each_point_set_once(tmp_path, monkeypatch):
-    """``fit --data`` merges its duplicate points once and hands the merge to
-    the builder, which does not merge again."""
-    from isodag import cli, orders
+    """``fit --data`` merges its duplicate points once: its observations go
+    through ``design.merge_observations``, which reads the averaging maps
+    off the builder's own merge."""
+    from isodag import orders
 
     calls = []
     real = orders.merge_duplicates
     spy = lambda points: calls.append(len(points)) or real(points)
     monkeypatch.setattr(orders, "merge_duplicates", spy)
-    monkeypatch.setattr(cli, "merge_duplicates", spy)
     data = tmp_path / "obs.csv"
     pts = np.random.default_rng(1).random((10, 2))
     pts[7] = pts[2]
@@ -307,6 +328,22 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("volume = 11\n")
     assert main(["statdim", "--n1", "3", "--config", str(cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,message", [
+    ("n_grid", "could not parse n grid '4,x'"),
+    ("config", "expected key = value"),
+    ("header_only", "no data rows in input"),
+])
+def test_malformed_input_exits_2_naming_it(tmp_path, capsys, case, message):
+    path = tmp_path / "input"
+    argv = {"n_grid": ["sweep-fixed", "--n-grid", "4,x", "--out", str(tmp_path / "s.csv")],
+            "config": ["statdim", "--n1", "3", "--config", str(path)],
+            "header_only": ["fit", "--data", str(path), "--d", "2"]}[case]
+    path.write_text({"config": "reps = 4\nseed\n"}.get(case, "index,x_1,x_2,y\n"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_config_file_missing_exits_2(tmp_path):

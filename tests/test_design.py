@@ -135,6 +135,18 @@ def test_extension_dimension_check():
         FittedFunction.from_fit(np.zeros((2, 2)), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+def test_extension_refuses_points_outside_the_cube(bad):
+    """Design points and queries go through the one point check: a ``nan``
+    coordinate is refused as one outside the cube is, not read as a value."""
+    fit = FittedFunction.from_fit(np.array([[0.2, 0.2], [0.8, 0.8]]), np.array([1.0, 3.0]))
+    for query in ([bad, 0.5], [[0.1, 0.1], [0.5, bad]]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]\^d"):
+            extend_estimator(fit, query)
+    with pytest.raises(ValueError, match=r"\[0, 1\]\^d"):
+        FittedFunction.from_fit(np.array([[0.2, bad], [0.8, 0.8]]), np.array([1.0, 3.0]))
+
+
 def test_empirical_risk():
     fit = FittedFunction.from_fit(np.zeros((2, 1)), np.array([1.0, 2.0]))
     assert empirical_risk(fit, np.array([0.0, 0.0])) == 2.5

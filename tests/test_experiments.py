@@ -397,15 +397,15 @@ def test_failed_replicate_stops_the_sweep(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_random_sweep_merges_each_design_once(d, monkeypatch):
-    """Each replicate's points are merged once: the sweep hands its merge to
-    the builder, which does not merge again."""
+    """Each replicate's points are merged once: its observations go through
+    ``design.merge_observations``, which reads the averaging maps off the
+    builder's own merge."""
     from isodag import orders
 
     calls = []
     real = orders.merge_duplicates
     spy = lambda points: calls.append(len(points)) or real(points)
     monkeypatch.setattr(orders, "merge_duplicates", spy)
-    monkeypatch.setattr(experiments, "merge_duplicates", spy)
     run_random_sweep(_cfg(design="random", d=d, n_grid=(12, 20), replicates=3))
     assert calls == [12] * 3 + [20] * 3
 

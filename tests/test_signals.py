@@ -171,7 +171,7 @@ def _cube_closures():
 
 @pytest.mark.parametrize("which", range(4))
 @pytest.mark.parametrize("x", [[-0.1, 0.5], [0.5, 1.0 + 1e-12],
-                               [[0.2, 0.3], [0.4, -1e-300]]])
+                               [[0.2, 0.3], [0.4, -1e-300]], [np.nan, 0.5]])
 def test_cube_functions_refuse_points_outside_the_cube(which, x):
     f = _cube_closures()[which]
     assert np.isfinite(f([0.0, 1.0]))
@@ -411,6 +411,16 @@ def test_packing_codewords_at_ell_4_are_pinned():
     assert codes.shape == (2048, 16) and codes.dtype == np.uint8
     assert hashlib.sha256(codes.tobytes()).hexdigest() == (
         "d8aece8bc545910139a04303e9692f1bc5f001fb8d47bfc7ec0804258a6d7c3a")
+
+
+def test_packing_has_two_codewords_to_compare():
+    """First fit accepts the all-zero word, then still finds the all-one
+    word ell^2 >= ell^2 / 4 away, so it accepts a second word: every packing
+    has the pair that ``min_sq_distance`` and ``min_hamming`` compare."""
+    for ell in range(1, 5):
+        pack = packing_set_2d(ell)
+        assert len(pack.codewords) >= 2 and not pack.codewords[0].any()
+        assert pack.min_hamming >= ell * ell / 4 and pack.min_sq_distance > 0.0
 
 
 def test_packing_cap():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isodag.complexity import noise_stream
-from isodag.design import DesignSampler, draw_design
+from isodag.design import DesignSampler, draw_design, merge_observations
 from isodag.orders import (Dag, LatticeSpec, build_design_dag, build_lattice,
-                           disjoint_copies, is_isotonic, merge_duplicates)
+                           disjoint_copies, is_isotonic)
 from isodag.signals import SignalSpec, generate_signal
 from isodag import solvers
 from isodag.solvers import (
@@ -115,13 +115,16 @@ def test_is_chain():
 
 
 @pytest.mark.parametrize("y", [[0.5, -1.25, 3.0], [-0.0, 1e300, -1e300],
-                               [1e-300, -3e-300, 4.0], [7.0, 7.0, -2.0]])
+                               [1e-300, -3e-300, 4.0], [7.0, 7.0, -2.0],
+                               [2.2250738585072014e-309, 4.0, 4.0]])
 def test_orders_without_edges_fit_to_their_data(y):
     """With no cover edge, the partition route (three vertices) and the chain
-    route (one vertex) return the data bitwise with no violation.  (Data that
-    the binary rescaling takes below the normal range lose low bits there.)"""
+    route (one vertex) return the data bitwise with no violation, and so
+    does the chain route on a two-vertex chain whose data is sorted, also
+    where the binary rescaling takes a datum below the normal range."""
     y = np.array(y)
-    for dag, data in ((Dag(3, []), y), (Dag(1, []), y[:1])):
+    for dag, data in ((Dag(3, []), y), (Dag(1, []), y[:1]),
+                      (Dag(2, [(0, 1)]), np.sort(y[:2]))):
         result = lse_fit(dag, data)
         assert result.theta_hat.tobytes() == data.tobytes()
         assert result.max_violation == 0.0
@@ -161,10 +164,8 @@ def test_certificate_accepts_true_projection():
     y = rng.standard_normal(9)
     # 6000 points on a 0.01 grid merge into more than 2000 weighted vertices
     pts = np.round(rng.random((6000, 2)), 2)
-    design = build_design_dag(pts)
+    design, ybar, _ = merge_observations(pts, pts.sum(axis=1) + rng.standard_normal(6000))
     assert design.n_vertices > 2000 and design.weights().max() > 1
-    _, idx = merge_duplicates(pts)
-    ybar = np.bincount(idx, pts.sum(axis=1) + rng.standard_normal(6000)) / design.weights()
     for dag, y in ((lattice, y), (design, ybar)):
         prob = IsotonicProblem(dag, y)
         cert = verify_projection_certificate(prob, lse_fit(dag, y).theta_hat)
