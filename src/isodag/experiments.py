@@ -221,7 +221,8 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
             theta = lse_fit(dag, ybar).theta_hat
             if config.mc_points:
                 fit = FittedFunction.from_fit(X[firsts], theta)
-                l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points, config.seed,
+                l2ps[r] = l2p_risk_mc(fit, truth, sampler, config.mc_points,
+                                      config.seed,
                                       _L2P_STREAM_OFFSET + base + r).mean
             diff = theta - fvals[firsts]
             qs[r] = np.dot(dag.weights() * diff, diff)

@@ -116,7 +116,9 @@ class Dag:
     each compute a value, and both get the same one.  The constructor checks
     that the edges are reduced and acyclic: by one planar sweep when the
     labels' dominance order has exactly these cover edges, and otherwise on
-    the n x n reachability matrix.
+    the n x n reachability matrix.  An order from :func:`build_design_dag`
+    also carries ``_merge``, the read-only ``(firsts, inverse)`` of
+    :func:`merge_duplicates` that merged its points.
     """
 
     def __init__(self, n_vertices, cover_edges, labels=None, multiplicities=None,
@@ -548,7 +550,8 @@ def build_design_dag(points) -> Dag:
     """Partial order induced on points of ``[0, 1]^d`` by coordinatewise <=.
 
     Equal points are merged by :func:`merge_duplicates` into one vertex
-    carrying a multiplicity weight, kept as the dag's ``_merge``.  Vertices
+    carrying a multiplicity weight; that merge, read-only, is kept as the
+    dag's ``_merge``, the one attribute only design orders carry.  Vertices
     keep the first-occurrence order of the input.  The points are checked by
     :func:`_cube_points`, which rejects non-finite coordinates.
 
@@ -591,7 +594,7 @@ def build_design_dag(points) -> Dag:
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
     dag.__dict__["_planar_points"] = planar
-    dag._merge = (firsts, inverse)
+    dag._merge = (_frozen_copy(firsts), _frozen_copy(inverse))
     return dag
 
 

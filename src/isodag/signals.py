@@ -147,7 +147,7 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         nlev = len(spec.levels)
         bins = np.minimum((s * nlev) // (span + 1), nlev - 1)
         theta = np.asarray(spec.levels, dtype=float)[bins]
-    else:  # "custom_grid", the last kind that __post_init__ admits
+    elif spec.kind == "custom_grid":
         theta = np.asarray(spec.grid, dtype=float)
         if theta.shape != (lattice.n,):
             raise ValueError("grid length does not match lattice size")
@@ -155,6 +155,8 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         for j in range(d):
             if sides[j] > 1 and np.any(np.diff(arr, axis=j) < 0):
                 raise ValueError("custom grid is not isotonic")
+    else:  # pragma: no cover -- guarded in __post_init__
+        raise ValueError(spec.kind)
     if spec.bounded:
         theta = theta / max(1.0, float(np.max(np.abs(theta))))
     return theta
@@ -214,10 +216,12 @@ def step_function(theta, lattice: LatticeSpec):
 
     def values(pts):
         idx = np.ceil(_snap_int(pts * sides)).astype(np.int64)
-        np.clip(idx, 1, np.asarray(lattice.side_lengths), out=idx)
+        np.clip(idx, 1, np.asarray(lattice.side_lengths) , out=idx)
         return arr[tuple((idx - 1).T)]
 
-    return _cube_function(lattice.d, values)
+    f = _cube_function(lattice.d, values)
+    f.lattice = lattice
+    return f
 
 
 def grid_values(f, lattice: LatticeSpec) -> np.ndarray:
@@ -372,7 +376,8 @@ def assouad_random(d: int, n1: int, tau=None, rho: float | None = None,
         c = np.ceil(_snap_int(pts * n1)).astype(np.int64)
         s = c.sum(axis=1)
         vals = np.where(s >= n1 + 1, 1.0, 0.0)
-        for i in np.flatnonzero(s == n1):
+        on_diag = np.flatnonzero(s == n1)
+        for i in on_diag:
             # boundary faces (some ceil = 0) fall in no half-open cell; they
             # have measure zero and take the value 0 from below
             vals[i] = cell_key.get(tuple(c[i]), 0.0)

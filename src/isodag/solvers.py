@@ -159,17 +159,20 @@ _UNCUTTABLE = 2**31 - 1
 
 
 def _pool_violators(theta: np.ndarray, label: np.ndarray, w: np.ndarray,
-                    ys: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+                    ys: np.ndarray, eu: np.ndarray, ev: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Merge blocks across violated cover edges until ``theta`` is isotonic.
 
     Blocks whose exact fits are equal can come out of floating-point means
     an ulp apart in the wrong order; pooling them restores the common value.
-    Every pass removes at least one block, so the loop ends.
+    Every pass removes at least one block, so the loop ends.  Returns the
+    isotonic fit and the mask of the vertices that were pooled.
     """
+    moved = np.zeros(theta.size, dtype=bool)
     while True:
         bad = theta[eu] > theta[ev]
         if not bad.any():
-            return theta
+            return theta, moved
         k = int(label.max()) + 1
         links = csr_matrix((np.ones(int(bad.sum())), (label[eu[bad]], label[ev[bad]])),
                            shape=(k, k))
@@ -178,6 +181,7 @@ def _pool_violators(theta: np.ndarray, label: np.ndarray, w: np.ndarray,
         label = comp[label]
         means = np.bincount(label, w * ys) / np.bincount(label, w)
         theta = np.where(pooled[label], means[label], theta)
+        moved |= pooled[label]
 
 
 def project_partition(problem: IsotonicProblem) -> ProjectionResult:
@@ -301,8 +305,8 @@ def project_partition(problem: IsotonicProblem) -> ProjectionResult:
         identity = np.r_[identity, np.zeros(int(split.sum()), dtype=bool)]
     mean = np.bincount(label, w * ys) / np.bincount(label, w)
     theta = np.where(identity[label], ys, mean[label])
-    theta = _pool_violators(theta, label, w, ys, eu, ev)
-    return _result_from_theta(problem, theta, iterations=levels)
+    theta, moved = _pool_violators(theta, label, w, ys, eu, ev)
+    return _result_from_theta(problem, theta, identity[label] & ~moved, iterations=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +396,27 @@ def lse_fit(dag: Dag, y) -> ProjectionResult:
         return project_partition(problem)
     # at unit binary scale, so the pooled weighted sums cannot overflow
     order = dag.topo_order
-    ts = np.empty_like(problem.y)
-    ts[order] = isotonic_regression(problem.y[order] * problem.unit,
-                                    weights=problem.weights[order]).x
-    return _result_from_theta(problem, ts, iterations=1)
+    pava = isotonic_regression(problem.y[order] * problem.unit,
+                               weights=problem.weights[order])
+    ts, alone = np.empty_like(problem.y), np.zeros(order.size, dtype=bool)
+    ts[order] = pava.x
+    alone[order[pava.blocks[:-1][np.diff(pava.blocks) == 1]]] = True
+    return _result_from_theta(problem, ts, alone, iterations=1)
 
 
-def _result_from_theta(problem: IsotonicProblem, ts: np.ndarray,
+def _result_from_theta(problem: IsotonicProblem, ts: np.ndarray, kept: np.ndarray,
                        iterations: int) -> ProjectionResult:
-    """The result of a route's fit ``ts`` of ``y * unit``: an entry left
-    bitwise at its datum is the datum itself, and the others are divided by
-    ``unit``, exactly unless the result is below the normal range."""
+    """The result of a route's fit ``ts`` of ``y * unit``: entries the route
+    ``kept`` at their scaled datum (unpooled, or in a block of isotonic data)
+    are the datum itself, others ``ts / unit``, exact unless subnormal.  A
+    rounded datum may be out of order with a neighbour it ties in ``ts``, so
+    entries tied across a cover edge are divided too: the fit stays isotonic."""
     unit = problem.unit
     ys = problem.y * unit
-    theta = np.where(ts.view(np.int64) == ys.view(np.int64), problem.y, ts / unit)
     edges = problem.dag.cover_edges
+    theta = np.where(kept, problem.y, ts / unit)
+    tied = edges[ts[edges[:, 0]] == ts[edges[:, 1]]].ravel()
+    theta[tied] = ts[tied] / unit
     max_violation = float(np.max(theta[edges[:, 0]] - theta[edges[:, 1]], initial=0.0))
     # At unit binary scale no sum of squares under- or overflows; near the
     # ends of the float range the Python division reads 0 or inf instead.

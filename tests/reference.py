@@ -179,11 +179,13 @@ def project_dykstra(problem: IsotonicProblem, tol: float = DEFAULT_TOL,
         else:
             stalled_corrections = None
     else:
-        result = _result_from_theta(problem, theta, iterations=max_sweeps)
+        result = _result_from_theta(problem, theta, np.zeros(theta.size, dtype=bool),
+                                    iterations=max_sweeps)
         raise ConvergenceError(
             f"no convergence in {max_sweeps} sweeps (violation {max_violation / unit:.2e}, "
             f"gap {result.inner_product_gap:.2e}, change {change / unit:.2e})", result)
-    return _result_from_theta(problem, theta, iterations=sweeps)
+    return _result_from_theta(problem, theta, np.zeros(theta.size, dtype=bool),
+                              iterations=sweeps)
 
 
 

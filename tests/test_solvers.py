@@ -130,6 +130,22 @@ def test_orders_without_edges_fit_to_their_data(y):
         assert result.max_violation == 0.0
 
 
+@pytest.mark.parametrize("low", [[9, 3], [9, 8]])
+def test_fits_of_rounded_subnormal_data_stay_isotonic(low):
+    """In units of ``2**-1074``, rescaling ``[low, 4.0]`` by 1/4 takes 9 and
+    3 to 2 and 1, which are pooled to 1.5 and rounded to 2, and 9 and 8 to a
+    tie at 2, so neither entry may keep its datum: both are fitted at 8, on
+    the chain route and (with an isolated fourth vertex) the partition
+    route."""
+    u = 2.0 ** -1074
+    y = np.r_[np.array(low) * u, 4.0]
+    for dag, data in ((Dag(3, [(0, 1), (1, 2)]), y), (Dag(4, [(0, 1), (1, 2)]), np.r_[y, 0.0])):
+        result = lse_fit(dag, data)
+        assert is_isotonic(dag, result.theta_hat)
+        assert result.max_violation == 0.0
+        assert result.theta_hat[:3].tobytes() == np.array([8 * u, 8 * u, 4.0]).tobytes()
+
+
 @given(arrays(np.float64, 3, elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_any_finite_data_is_isotonic_without_edges(y):
     assert is_isotonic(Dag(3, []), y)
@@ -510,7 +526,7 @@ def _pooled(dag, label, w, ys):
     label = np.asarray(label)
     theta = (np.bincount(label, w * ys) / np.bincount(label, w))[label]
     eu, ev = dag.cover_edges[:, 0], dag.cover_edges[:, 1]
-    out = solvers._pool_violators(theta, label, w, ys, eu, ev)
+    out, _ = solvers._pool_violators(theta, label, w, ys, eu, ev)
     assert np.all(out[eu] <= out[ev])
     return out
 
