@@ -30,7 +30,9 @@ reachability matrix.  Either route computes the antichain at once and
 builds the chain cover and the splits when they are first read, so a
 caller that wants the width alone pays for neither (a design order of the
 plane paid for its sweep when built).  :func:`planar_width` gives the width
-of points of the plane from the same patience piles, with no order built.
+of points of the plane as the number of patience piles, with no order and
+no report built.  The sweep and the piles take the points in one ``(x, y)``
+order, ``_sweep_order``'s, which sorts by x alone when no two x are equal.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -381,20 +383,20 @@ _SWEEP_ROWS = 128
 def _planar_covers(pts: np.ndarray) -> np.ndarray:
     """Cover edges of the dominance order on points of the plane, no n x n matrix.
 
-    One sweep over the points in ``np.lexsort((y, x))`` order (Kung, Luccio &
-    Preparata 1975).  Of two distinct points only the earlier can lie below
-    the later (equal points are ordered by index), and
-    point ``q`` covers an earlier point ``p`` iff ``y_q >= y_p`` and ``y_q``
-    is strictly below the y of every candidate between them, a point ``k``
-    with ``p < k < q`` and ``y_k >= y_p``.  So along row ``p`` the covers
-    are the strict new minima of the running minimum over the candidates.
-    Rows are swept in chunks of ``_SWEEP_ROWS``; if the sorted y never
-    decreases (a line's ``(x, x)`` always), the points are a chain whose
-    covers are its consecutive pairs, with no sweep.  For distinct points the
-    edges equal ``_transitive_reduction`` of the dominance matrix, in the
-    same row-major ``(u, v)`` order.
+    One sweep over the points in ``(x, y)`` order, ``_sweep_order``'s (Kung,
+    Luccio & Preparata 1975).  Of two distinct points only the earlier can
+    lie below the later (equal points are ordered by index), and point ``q``
+    covers an earlier point ``p`` iff ``y_q >= y_p`` and ``y_q`` is strictly
+    below the y of every candidate between them, a point ``k`` with
+    ``p < k < q`` and ``y_k >= y_p``.  So along row ``p`` the covers are the
+    strict new minima of the running minimum over the candidates.  Rows are
+    swept in chunks of ``_SWEEP_ROWS``; if the sorted y never decreases (a
+    line's ``(x, x)`` always), the points are a chain whose covers are its
+    consecutive pairs, with no sweep.  For distinct points the edges equal
+    ``_transitive_reduction`` of the dominance matrix, in the same
+    row-major ``(u, v)`` order.
     """
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    order = _sweep_order(pts)
     n = len(order)
     ys = pts[order, 1]
     if np.all(ys[1:] >= ys[:-1]):   # a chain: each point covers the one before
@@ -717,62 +719,84 @@ def planar_width(points) -> int | None:
     """Width of the dominance order on points of ``[0, 1]^d`` if ``d <= 2``.
 
     The width is the size of a maximum antichain of
-    ``build_design_dag(points)``, read off the patience piles of the points
+    ``build_design_dag(points)``: the number of patience piles of the points
     as given (a point ``x`` of the line as ``(x, x)``), with no merge, no
-    :class:`Dag` and none of the O(n^2) sweep that building the order runs:
-    equal points land on one pile, so duplicates change no width.  The
-    points are checked as :func:`build_design_dag` checks them.  Returns
-    ``None`` for ``d >= 3``, where the order is not planar and
+    :class:`Dag`, no report and none of the O(n^2) sweep that building the
+    order runs: equal points land on one pile, so duplicates change no
+    width.  The points are checked as :func:`build_design_dag` checks them.
+    Returns ``None`` for ``d >= 3``, where the order is not planar and
     :func:`maximum_antichain` of the built order gives the width.
     """
     pts = _cube_points(points)
     if pts.shape[1] > 2:
         return None
-    return len(_patience_antichain(pts[:, [0, -1]]).antichain)
+    return _patience_piles(pts[:, [0, -1]])[2]
+
+
+def _sweep_order(pts: np.ndarray) -> np.ndarray:
+    """``np.lexsort((y, x))`` of points of the plane, bitwise: ``np.argsort``
+    of x alone when the sorted x is strictly increasing (no ties, no signed
+    zeros, no nan), since then the permutation is unique."""
+    x = pts[:, 0]
+    order = np.argsort(x)
+    xs = x[order]
+    if np.all(xs[1:] > xs[:-1]):
+        return order
+    return np.lexsort((pts[:, 1], x))
+
+
+def _patience_piles(pts: np.ndarray) -> tuple[np.ndarray, list[int], int]:
+    """Patience sorting of the planar points ``pts`` by decreasing y in
+    sweep order: the sweep order, each sweep position's pile and the number
+    of piles, which is the width of the order (Aldous & Diaconis 1999)."""
+    order = _sweep_order(pts)
+    # pile k's top has the k-th smallest -y among pile tops; a point goes on
+    # the first pile whose top it does not exceed, so each pile is a chain
+    tops: list[float] = []
+    pile: list[int] = []
+    for z in (-pts[order, 1]).tolist():
+        k = bisect_left(tops, z)
+        if k == len(tops):
+            tops.append(z)
+        else:
+            tops[k] = z
+        pile.append(k)
+    return order, pile, len(tops)
 
 
 def _patience_antichain(pts: np.ndarray) -> AntichainReport:
     """Maximum antichain of the planar order on ``pts`` (see ``_planar_covers``)."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    y = pts[order, 1]
-    n = len(y)
-    # pile k's top has the k-th smallest -y among pile tops; a point goes on
-    # the first pile whose top it does not exceed, so each pile is a chain
-    tops: list[float] = []
-    top_at: list[int] = []
-    pile = [0] * n
-    prev = [-1] * n
-    for p, z in enumerate((-y).tolist()):
-        k = bisect_left(tops, z)
-        if k == len(tops):
-            tops.append(z)
-            top_at.append(p)
-        else:
-            tops[k] = z
-            top_at[k] = p
-        pile[p] = k
-        if k:
-            prev[p] = top_at[k - 1]
-    # back-pointers from the last pile give a strictly decreasing run of y
-    run = [top_at[-1]]
-    while prev[run[-1]] >= 0:
-        run.append(prev[run[-1]])
+    order, pile, width = _patience_piles(pts)
+    n = len(pile)
+    pile = np.asarray(pile, dtype=np.int64)
+    pos = np.arange(n)
+    # sweep positions pile by pile, each pile in sweep order
+    keys = np.sort(pile * n + pos)
+    by_pile = keys % n
+    # a pile-k point was laid on the latest point of pile k - 1 before it;
+    # from the last point of the last pile these give a strictly decreasing
+    # run of y, one point per pile
+    below = by_pile[np.searchsorted(keys, (pile - 1) * n + pos) - 1].tolist()
+    run = [int(by_pile[-1])]
+    for _ in range(width - 1):
+        run.append(below[run[-1]])
     w_pos = np.asarray(run[::-1], dtype=np.int64)
     return AntichainReport._deferred(np.sort(order[w_pos]),
-                                     partial(_pile_chains, order, pile),
-                                     partial(_staircase_splits, order, y, w_pos))
+                                     partial(_pile_chains, order, by_pile, pile),
+                                     partial(_staircase_splits, order, pts, w_pos))
 
 
-def _pile_chains(order: np.ndarray, pile: list[int]) -> list[np.ndarray]:
-    """The patience piles as chains of vertex ids, each in sweep order."""
-    by_pile = np.argsort(pile, kind="stable")
-    ends = np.cumsum(np.bincount(pile))[:-1]
-    return [order[c] for c in np.split(by_pile, ends)]
+def _pile_chains(order: np.ndarray, by_pile: np.ndarray,
+                 pile: np.ndarray) -> list[np.ndarray]:
+    """The patience piles as chains of vertex ids, each in sweep order;
+    ``by_pile`` holds the sweep positions pile by pile."""
+    return np.split(order[by_pile], np.cumsum(np.bincount(pile))[:-1])
 
 
-def _staircase_splits(order: np.ndarray, y: np.ndarray,
+def _staircase_splits(order: np.ndarray, pts: np.ndarray,
                       w_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The splits of the antichain at sweep positions ``w_pos``."""
+    y = pts[order, 1]
     n = len(y)
     # the last antichain point before p has the lowest y among those before p
     last = np.searchsorted(w_pos, np.arange(n)) - 1

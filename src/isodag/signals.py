@@ -147,7 +147,7 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         nlev = len(spec.levels)
         bins = np.minimum((s * nlev) // (span + 1), nlev - 1)
         theta = np.asarray(spec.levels, dtype=float)[bins]
-    elif spec.kind == "custom_grid":
+    else:   # "custom_grid", the last kind SignalSpec admits
         theta = np.asarray(spec.grid, dtype=float)
         if theta.shape != (lattice.n,):
             raise ValueError("grid length does not match lattice size")
@@ -155,8 +155,6 @@ def generate_signal(spec: SignalSpec, lattice: LatticeSpec) -> np.ndarray:
         for j in range(d):
             if sides[j] > 1 and np.any(np.diff(arr, axis=j) < 0):
                 raise ValueError("custom grid is not isotonic")
-    else:  # pragma: no cover -- guarded in __post_init__
-        raise ValueError(spec.kind)
     if spec.bounded:
         theta = theta / max(1.0, float(np.max(np.abs(theta))))
     return theta
@@ -219,9 +217,7 @@ def step_function(theta, lattice: LatticeSpec):
         np.clip(idx, 1, np.asarray(lattice.side_lengths) , out=idx)
         return arr[tuple((idx - 1).T)]
 
-    f = _cube_function(lattice.d, values)
-    f.lattice = lattice
-    return f
+    return _cube_function(lattice.d, values)
 
 
 def grid_values(f, lattice: LatticeSpec) -> np.ndarray:

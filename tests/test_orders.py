@@ -744,6 +744,67 @@ def test_planar_width_leaves_higher_dimensions_to_the_order():
         planar_width(points + 1.0)
 
 
+# labels as the public ``Dag`` constructor takes them: ties, both zeros, nan
+_LABEL_COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 0.5, 1.0, np.nan]),
+                          st.floats(allow_nan=True, allow_infinity=False))
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sweep_order_is_lexsort_bitwise(distinct, data):
+    """``_sweep_order`` is ``np.lexsort((y, x))``, bitwise, on both of its
+    branches: x alone when the sorted x is strictly increasing, else both keys."""
+    if distinct:   # hypothesis counts -0.0 and 0.0 as one value
+        x = data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30,
+                               unique=True))
+    else:
+        x = data.draw(st.lists(_LABEL_COORDS, min_size=2, max_size=30))
+        x += data.draw(st.lists(st.sampled_from(x), min_size=1, max_size=5))
+        x = data.draw(st.permutations(x))
+    y = data.draw(st.lists(_LABEL_COORDS, min_size=len(x), max_size=len(x)))
+    pts = np.column_stack([np.asarray(x, float), np.asarray(y, float)])
+    expected = np.lexsort((pts[:, 1], pts[:, 0]))
+    lexsorts = []
+    real = np.lexsort
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", lambda keys: lexsorts.append(keys) or real(keys))
+        got = orders._sweep_order(pts)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert len(lexsorts) == (0 if distinct else 1)
+
+
+@given(st.integers(min_value=1, max_value=2), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_patience_report_on_planar_designs_with_ties(d, merged, data):
+    """On a design order of the plane with tied coordinates and repeated
+    points (merged into weighted vertices, or kept as vertices of their own),
+    the patience route's report is valid and as wide as the flow route's,
+    and its antichain is the run the piles give: one point per pile, each
+    the latest point of its pile before the next run point, ending at the
+    last point of the last pile."""
+    grid = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+    base = data.draw(arrays(float, st.tuples(st.integers(1, 25), st.just(d)), elements=grid))
+    repeats = data.draw(st.lists(st.integers(0, len(base) - 1), max_size=8))
+    points = np.concatenate([base, base[repeats]])
+    points = points[data.draw(st.permutations(range(len(points))))]
+    if merged:
+        dag = build_design_dag(points)
+    else:
+        dag = Dag(len(points), orders._planar_covers(points[:, [0, -1]]), labels=points)
+    with pytest.MonkeyPatch.context() as mp:
+        patience = _spy(mp, "_patience_antichain")
+        report = maximum_antichain(dag)
+    assert len(patience) == 1
+    assert_valid_antichain_report(dag, report)
+    assert len(report.antichain) == len(_flow_antichain(dag).antichain)
+    pos = np.argsort(orders._sweep_order(dag._planar_points))   # vertex -> sweep position
+    run = report.antichain[np.argsort(pos[report.antichain])]
+    piles = [pos[chain] for chain in report.chain_cover]
+    assert [int(pos[v]) for v in run] == [int(piles[k][np.searchsorted(piles[k], pos[w]) - 1])
+                                          for k, w in enumerate(run[1:])] + [int(piles[-1][-1])]
+
+
 @pytest.mark.parametrize("sides", [(1,), (40,), (1, 6), (5, 8), (12, 12)])
 def test_planar_lattices_state_their_points(sides, monkeypatch):
     """``build_lattice`` in the plane stores its labels as the planar proof,
