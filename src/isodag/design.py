@@ -86,6 +86,16 @@ class DesignSampler:
                    M0=max(hi, 1.0))
 
 
+def _sampler_for(d: int, sampler: DesignSampler | None) -> DesignSampler:
+    """``sampler``, or the uniform density on the cube for ``None``; raises
+    ``ValueError`` unless its points have dimension ``d``."""
+    if sampler is None:
+        return DesignSampler.uniform(d)
+    if sampler.d != d:
+        raise ValueError("sampler dimension mismatch")
+    return sampler
+
+
 def draw_design(rng: np.random.Generator, sampler: DesignSampler, n: int) -> np.ndarray:
     """Draw ``n`` points from the sampler's density using ``rng``: one cell
     choice per point, then a uniform offset inside the cell."""
@@ -192,8 +202,7 @@ def _design_draws(d: int, n: int, sampler: DesignSampler, replicates: int,
                   seed: int, stream_id: int):
     """``replicates`` seeded design draws, one per stream ``stream_id + r``,
     in stream order."""
-    if sampler.d != d:
-        raise ValueError("sampler dimension mismatch")
+    sampler = _sampler_for(d, sampler)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     return (sample_design(sampler, n, seed, stream_id + r) for r in range(replicates))
@@ -257,8 +266,7 @@ def chain_tail_check(d: int, n: int, k: int, sampler: DesignSampler | None = Non
     see :func:`chain_probability_formulas` for the order-corrected union
     bound that the frequency cannot beat.
     """
-    if sampler is None:
-        sampler = DesignSampler.uniform(d)
+    sampler = _sampler_for(d, sampler)
     bound = min(1.0, chain_probability_formulas(d, n, k, sampler.M0)["ordered_tuple"])
     draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
     return bound, sum(len(longest_chain(build_design_dag(points))) >= k

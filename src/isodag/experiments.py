@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .complexity import (BoundParams, MonteCarloEstimate, bound_eval, fit_errors,
                          harmonic_sum, mc_aggregate, noise_stream, statdim_mc)
-from .design import DesignSampler, FittedFunction, draw_design, l2p_risk_mc, merge_observations
+from .design import (DesignSampler, FittedFunction, _sampler_for, draw_design, l2p_risk_mc,
+                     merge_observations)
 from .orders import LatticeSpec, build_lattice
 from .signals import SignalSpec, generate_signal
 from .solvers import lse_fit
@@ -202,9 +203,7 @@ def run_random_sweep(config: ExperimentConfig) -> RiskReport:
         raise ValueError("the random-design bounds define gamma only for d >= 2")
     if config.signal is not None and isinstance(config.signal, SignalSpec):
         raise ValueError("random sweeps take a callable (or None) signal")
-    sampler = config.sampler or DesignSampler.uniform(config.d)
-    if sampler.d != config.d:
-        raise ValueError("sampler dimension mismatch")
+    sampler = _sampler_for(config.d, config.sampler)
     truth = config.signal if config.signal is not None else (lambda pts: np.zeros(len(pts)))
     per_n = []
     l2p_notes = {}

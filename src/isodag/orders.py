@@ -26,10 +26,10 @@ sweep run and cached on first use for any other order.
 On every other order it runs one maximum flow on the cover edges (Dilworth
 via Ford & Fulkerson): the antichain and the splits are read off the
 minimal minimum cut, and the chains off the flow.  No route needs the n x n
-reachability matrix.  Either route computes the antichain at once and
-builds the chain cover and the splits when they are first read, so a
-caller that wants the width alone pays for neither (a design order of the
-plane paid for its sweep when built).  :func:`planar_width` gives the width
+reachability matrix.  Either route computes the antichain and its splits
+at once and builds the chain cover when it is first read, so a caller
+that wants the width alone does not pay for the cover (a design order of
+the plane paid for its sweep when built).  :func:`planar_width` gives the width
 of points of the plane as the number of patience piles, with no order and
 no report built.  The sweep and the piles take the points in one ``(x, y)``
 order, ``_sweep_order``'s, which sorts by x alone when no two x are equal.
@@ -41,7 +41,8 @@ coordinate tuples laid out in row-major (C) order, last coordinate fastest.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -506,7 +507,7 @@ def build_lattice(spec: LatticeSpec) -> Dag:
     cover = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64)
     dag = Dag(n, cover, labels=lattice_vertices(spec), _skip_reduction_check=True)
     if d <= 2:
-        dag.__dict__["_planar_points"] = dag.labels[:, [0, -1]].astype(float)
+        dag._planar_points = dag.labels[:, [0, -1]].astype(float)
     return dag
 
 
@@ -595,7 +596,7 @@ def build_design_dag(points) -> Dag:
     dag = Dag(n, cover, labels=uniq,
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
-    dag.__dict__["_planar_points"] = planar
+    dag._planar_points = planar
     dag._merge = (_frozen_copy(firsts), _frozen_copy(inverse))
     return dag
 
@@ -622,35 +623,27 @@ def is_isotonic(dag: Dag, theta, tol: float = 0.0) -> bool:
 class AntichainReport:
     """A maximum antichain with its Dilworth certificate and order splits.
 
-    ``antichain`` is a sorted vertex id array W; ``chain_cover`` is a vertex
-    partition into ``len(antichain)`` chains witnessing maximality (``None``
-    when the report was built from a known antichain without running
-    :func:`maximum_antichain`); ``upper_split`` / ``lower_split`` partition
-    the remaining vertices into those strictly above some element of W and
-    the rest, with no element of W above anything in ``upper_split``.
-
-    A report made by the constructor holds the four fields as given.  A
-    report from :func:`maximum_antichain` holds ``antichain`` only: it
-    builds ``chain_cover`` when that is first read, and both splits when
-    either is first read, and caches them, so a caller that reads the
-    antichain alone never pays for the certificate.  Two concurrent first
-    reads may each build a field, and both get the same values.
+    ``antichain`` is a sorted vertex id array W; ``upper_split`` /
+    ``lower_split`` partition the remaining vertices into those strictly
+    above some element of W and the rest, with no element of W above
+    anything in ``upper_split``.  ``chains``, when given, builds a vertex
+    partition into ``len(antichain)`` chains witnessing maximality;
+    ``chain_cover`` is that partition, built on its first read and cached,
+    or ``None`` when the report was built from a known antichain without
+    running :func:`maximum_antichain`.  ``repr`` and ``dataclasses.replace``
+    never read the cover, so a caller that wants the antichain alone never
+    pays for it.  Two concurrent first reads may each build the cover, and
+    both get the same chains.
     """
 
     antichain: np.ndarray
-    chain_cover: list | None
     upper_split: np.ndarray
     lower_split: np.ndarray
+    chains: Callable[[], list] | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def _deferred(cls, antichain: np.ndarray, chains, splits) -> "AntichainReport":
-        """A report holding ``antichain``; ``chains()`` builds the chain cover
-        and ``splits()`` the pair ``(upper_split, lower_split)`` on first read."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "antichain", antichain)
-        object.__setattr__(report, "_chains", chains)
-        object.__setattr__(report, "_splits", splits)
-        return report
+    @cached_property
+    def chain_cover(self) -> list | None:
+        return None if self.chains is None else self.chains()
 
     def check_partition(self, n: int) -> None:
         """Raise ``ValueError`` unless the antichain and the two splits
@@ -659,26 +652,12 @@ class AntichainReport:
         if ids.size != n or np.any(ids != np.arange(n)):
             raise ValueError("antichain and splits do not partition the vertices")
 
-    def __getattr__(self, name):
-        # reached only for a name missing from the instance: a field that a
-        # deferred report has not built yet, or no attribute at all
-        state = self.__dict__
-        if name == "chain_cover" and "_chains" in state:
-            object.__setattr__(self, name, state["_chains"]())
-        elif name in ("upper_split", "lower_split") and "_splits" in state:
-            upper, lower = state["_splits"]()
-            object.__setattr__(self, "upper_split", upper)
-            object.__setattr__(self, "lower_split", lower)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return state[name]
-
 
 def maximum_antichain(dag: Dag) -> AntichainReport:
     """Maximum antichain with a chain cover of the same size, by one of two routes.
 
-    Each route computes the antichain at once and returns a report that
-    builds the chain cover and the splits on their first read (see
+    Each route computes the antichain and both splits at once and returns a
+    report that builds the chain cover on its first read (see
     :class:`AntichainReport`), so reading ``antichain`` alone costs the
     patience loop or the flow and its cut, nothing more.
 
@@ -781,9 +760,8 @@ def _patience_antichain(pts: np.ndarray) -> AntichainReport:
     for _ in range(width - 1):
         run.append(below[run[-1]])
     w_pos = np.asarray(run[::-1], dtype=np.int64)
-    return AntichainReport._deferred(np.sort(order[w_pos]),
-                                     partial(_pile_chains, order, by_pile, pile),
-                                     partial(_staircase_splits, order, pts, w_pos))
+    return AntichainReport(np.sort(order[w_pos]), *_staircase_splits(order, pts, w_pos),
+                           chains=partial(_pile_chains, order, by_pile, pile))
 
 
 def _pile_chains(order: np.ndarray, by_pile: np.ndarray,
@@ -831,14 +809,8 @@ def _flow_antichain(dag: Dag) -> AntichainReport:
         shape=(2 * n + 2, 2 * n + 2))
     flow, reached = minimal_cut(net, src, snk)
     out, up = reached[:n], reached[n:2 * n]
-    return AntichainReport._deferred(np.flatnonzero(out & ~up),
-                                     partial(_flow_chains, dag, flow),
-                                     partial(_cut_splits, out, up))
-
-
-def _cut_splits(out: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The splits from the cut's ``v_out`` and ``v_in`` source-side masks."""
-    return np.flatnonzero(up), np.flatnonzero(~out)
+    return AntichainReport(np.flatnonzero(out & ~up), np.flatnonzero(up), np.flatnonzero(~out),
+                           chains=partial(_flow_chains, dag, flow))
 
 
 def _flow_chains(dag: Dag, flow: csr_matrix) -> list[np.ndarray]:
@@ -920,8 +892,7 @@ def level_antichain_report(spec: LatticeSpec, level="max") -> AntichainReport:
     lev = int(sums[ids[0]])
     upper = np.flatnonzero(sums > lev)
     lower = np.flatnonzero(sums < lev)
-    return AntichainReport(antichain=ids, chain_cover=None,
-                           upper_split=upper, lower_split=lower)
+    return AntichainReport(antichain=ids, upper_split=upper, lower_split=lower)
 
 
 def longest_chain(dag: Dag) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from isodag import design, experiments
 from isodag.complexity import noise_stream
 from isodag.design import (
     AntichainStats,
@@ -20,6 +21,7 @@ from isodag.design import (
     l2p_risk_mc,
     sample_design,
 )
+from isodag.experiments import ExperimentConfig, run_random_sweep
 from isodag.orders import build_design_dag, longest_chain, maximum_antichain
 
 
@@ -298,6 +300,31 @@ def test_chain_tail_check_validation():
         chain_tail_check(2, 10, 3, sampler=DesignSampler.uniform(3))
     with pytest.raises(ValueError):
         chain_tail_check(2, 10, 3, replicates=0)
+
+
+DRAWING_CALLERS = {
+    "run_random_sweep": lambda sampler: run_random_sweep(ExperimentConfig(
+        experiment="t", d=2, n_grid=(10,), design="random", sampler=sampler, replicates=2)),
+    "antichain_stats": lambda sampler: antichain_stats(2, 10, sampler, replicates=2, seed=0),
+    "chain_tail_check": lambda sampler: chain_tail_check(2, 10, 3, sampler=sampler,
+                                                         replicates=2),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(DRAWING_CALLERS))
+def test_sampler_of_another_dimension_is_refused_before_any_draw(caller, monkeypatch):
+    """Every caller that draws designs refuses a sampler of another dimension
+    before its first draw, and draws with a sampler of its own dimension."""
+    draws = []
+    for module in (design, experiments):
+        real = module.draw_design
+        monkeypatch.setattr(module, "draw_design",
+                            lambda *a, real=real: draws.append(a) or real(*a))
+    with pytest.raises(ValueError, match="sampler dimension mismatch"):
+        DRAWING_CALLERS[caller](DesignSampler.uniform(3))
+    assert draws == []
+    DRAWING_CALLERS[caller](DesignSampler.uniform(2))
+    assert len(draws) == 2
 
 
 def test_longest_chain_on_design_consistency():

@@ -1,5 +1,6 @@
 """Partial-order structure: DAG construction, lattices, antichains."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -675,20 +676,38 @@ def test_design_orders_are_swept_once(shape, monkeypatch):
 def test_antichain_stats_reads_the_antichain_alone(d, monkeypatch):
     """Above the plane, ``antichain_stats`` calls ``maximum_antichain``
     through the name bound in ``isodag.design`` once per replicate (the
-    benchmark tracer wraps that name), and no replicate builds a chain cover
-    or splits."""
+    benchmark tracer wraps that name), and no replicate builds a chain cover."""
     reports = []
     real = design.maximum_antichain
     monkeypatch.setattr(design, "maximum_antichain",
                         lambda dag: reports.append(real(dag)) or reports[-1])
-    builders = [_spy(monkeypatch, name) for name in
-                ("_pile_chains", "_staircase_splits", "_flow_chains", "_cut_splits")]
+    builders = [_spy(monkeypatch, name) for name in ("_pile_chains", "_flow_chains")]
     stats = antichain_stats(d, 150, DesignSampler.uniform(d), replicates=4, seed=5)
     assert len(reports) == 4
-    assert builders == [[], [], [], []]
+    assert builders == [[], []]
     assert stats.sizes.tolist() == [len(r.antichain) for r in reports]
-    assert all("chain_cover" not in r.__dict__ and "upper_split" not in r.__dict__
-               for r in reports)
+    assert all("chain_cover" not in r.__dict__ for r in reports)
+
+
+@pytest.mark.parametrize("route, builder", [("patience", "_pile_chains"),
+                                            ("flow", "_flow_chains")])
+def test_reports_build_their_chain_cover_once_on_first_read(route, builder, monkeypatch):
+    """On both routes ``repr``, ``dataclasses.replace`` and ``check_partition``
+    build no chain cover; the first read of ``chain_cover`` builds it and the
+    second returns the same chains."""
+    dag = build_design_dag(np.random.default_rng(6).random((60, 2 if route == "patience" else 3)))
+    calls = _spy(monkeypatch, builder)
+    report = maximum_antichain(dag)
+    text = repr(report)
+    copy = dataclasses.replace(report, lower_split=report.lower_split)
+    report.check_partition(dag.n_vertices)
+    copy.check_partition(dag.n_vertices)
+    assert calls == []
+    assert "chain_cover" not in text and "chains=" not in text
+    cover = report.chain_cover
+    assert report.chain_cover is cover and len(calls) == 1
+    assert_valid_antichain_report(dag, report)
+    assert [c.tolist() for c in copy.chain_cover] == [c.tolist() for c in cover]
 
 
 @pytest.mark.parametrize("d", [1, 2])
