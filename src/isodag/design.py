@@ -198,25 +198,25 @@ class AntichainStats:
     fraction_meeting_bound: float
 
 
-def _design_draws(d: int, n: int, sampler: DesignSampler, replicates: int,
-                  seed: int, stream_id: int):
-    """``replicates`` seeded design draws, one per stream ``stream_id + r``,
-    in stream order."""
-    sampler = _sampler_for(d, sampler)
+def _design_draws(n: int, sampler: DesignSampler, replicates: int, seed: int,
+                  stream_id: int):
+    """``replicates`` seeded design draws of the resolved ``sampler``, one per
+    stream ``stream_id + r``, in stream order."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     return (sample_design(sampler, n, seed, stream_id + r) for r in range(replicates))
 
 
-def antichain_stats(d: int, n: int, sampler: DesignSampler, replicates: int,
+def antichain_stats(d: int, n: int, sampler: DesignSampler | None, replicates: int,
                     seed: int, stream_id: int = 0) -> AntichainStats:
     """Maximum-antichain sizes of ``replicates`` seeded draws of ``n`` points.
 
     For ``d <= 2`` each width comes from :func:`planar_width` of the drawn
     points, with no order built; for ``d >= 3`` from :func:`maximum_antichain`
-    of :func:`build_design_dag`.
+    of :func:`build_design_dag`.  A ``None`` sampler is uniform.
     """
-    draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
+    sampler = _sampler_for(d, sampler)
+    draws = _design_draws(n, sampler, replicates, seed, stream_id)
     sizes = np.array([planar_width(points) if d <= 2
                       else len(maximum_antichain(build_design_dag(points)).antichain)
                       for points in draws], dtype=np.int64)
@@ -268,6 +268,6 @@ def chain_tail_check(d: int, n: int, k: int, sampler: DesignSampler | None = Non
     """
     sampler = _sampler_for(d, sampler)
     bound = min(1.0, chain_probability_formulas(d, n, k, sampler.M0)["ordered_tuple"])
-    draws = _design_draws(d, n, sampler, replicates, seed, stream_id)
+    draws = _design_draws(n, sampler, replicates, seed, stream_id)
     return bound, sum(len(longest_chain(build_design_dag(points))) >= k
                       for points in draws) / replicates

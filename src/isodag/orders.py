@@ -15,24 +15,21 @@ Two constructors cover the cases used throughout the package:
   ``d <= 2`` one sweep of the points of the plane (a line's points as the
   diagonal ``(x, x)``, a chain that needs only its sort) gives the cover
   edges with no n x n matrix, and the points are stored as the order's
-  planar proof; higher dimensions use the dense dominance matrix.
+  planar proof.  Higher dimensions, :meth:`Dag.from_edges` and the
+  constructor's check read the covers off the closure packed 64 vertices
+  per word (``_covers``): O(m n / 64) word operations and n^2/8 bytes.
 
 :func:`maximum_antichain` returns a maximum antichain with a chain cover of
-the same size.  On an order that is planar dominance of its labels (one
-label column counts as the plane's diagonal) it uses patience sorting in
-O(n log n); the proof is the points that :func:`build_design_dag` or
-:func:`build_lattice` built the order from, so it sweeps nothing, or one
-sweep run and cached on first use for any other order.
-On every other order it runs one maximum flow on the cover edges (Dilworth
-via Ford & Fulkerson): the antichain and the splits are read off the
-minimal minimum cut, and the chains off the flow.  No route needs the n x n
-reachability matrix.  Either route computes the antichain and its splits
-at once and builds the chain cover when it is first read, so a caller
-that wants the width alone does not pay for the cover (a design order of
-the plane paid for its sweep when built).  :func:`planar_width` gives the width
-of points of the plane as the number of patience piles, with no order and
-no report built.  The sweep and the piles take the points in one ``(x, y)``
-order, ``_sweep_order``'s, which sorts by x alone when no two x are equal.
+the same size: by patience sorting in O(n log n) on an order that is planar
+dominance of its labels (one label column counts as the plane's diagonal),
+proved by the points it was built from or by one sweep cached on first use,
+and by one maximum flow on the cover edges otherwise (Dilworth via Ford &
+Fulkerson).  Neither reads the closure.  Both compute the antichain and its
+splits at once and build the chain cover when it is first read.
+:func:`planar_width` gives the width of points of the plane as the number of
+patience piles, with no order and no report built.  The sweep and the piles
+take the points in one ``(x, y)`` order, ``_sweep_order``'s, which sorts by
+x alone when no two x are equal.
 
 Vertex ids are always 0-based integers; lattice vertex labels are 1-based
 coordinate tuples laid out in row-major (C) order, last coordinate fastest.
@@ -119,7 +116,7 @@ class Dag:
     each compute a value, and both get the same one.  The constructor checks
     that the edges are reduced and acyclic: by one planar sweep when the
     labels' dominance order has exactly these cover edges, and otherwise on
-    the n x n reachability matrix.  An order from :func:`build_design_dag`
+    the packed closure.  An order from :func:`build_design_dag`
     also carries ``_merge``, the read-only ``(firsts, inverse)`` of
     :func:`merge_duplicates` that merged its points.
     """
@@ -153,9 +150,9 @@ class Dag:
             multiplicities = _frozen_copy(multiplicities)
         self.multiplicities = multiplicities
         # a sweep's covers are reduced and acyclic; any other edges are
-        # checked on the closure, whose topological order rejects a cycle
+        # checked on the packed closure, whose topological order rejects a cycle
         if not _skip_reduction_check and edges.size and self._planar_points is None:
-            if not _same_edges(_transitive_reduction(self.reachability()), edges):
+            if not _same_edges(_covers(self.topo_order, self._reach), edges, n):
                 raise ValueError("cover_edges are not transitively reduced")
 
     # -- derived structure -------------------------------------------------
@@ -180,13 +177,23 @@ class Dag:
 
     @cached_property
     def _reach(self) -> np.ndarray:
-        reach = np.zeros((self.n_vertices, self.n_vertices), dtype=bool)
-        children = self.children
-        for u in self.topo_order[::-1].tolist():
-            row = reach[u]
-            for v in children[u]:
-                row[v] = True
-                row |= reach[v]
+        """The strict up-sets packed for :func:`_covers`, rows and columns in
+        ``topo_order``: each row ORs its children's, then drops itself."""
+        ids, pos = np.arange(self.n_vertices), np.argsort(self.topo_order)
+        bit = np.uint64(1) << (ids % 64).astype(np.uint64)
+        up = np.zeros((len(ids), -(-len(ids) // 64)), dtype=np.uint64)
+        for p, u in zip(ids[::-1].tolist(), self.topo_order[::-1].tolist()):
+            np.bitwise_or.reduce(up[pos[self.children[u]]], axis=0, out=up[p])
+            up[p, p // 64] |= bit[p]
+        up[ids, ids // 64] ^= bit
+        up.setflags(write=False)
+        return up
+
+    @cached_property
+    def _reach_matrix(self) -> np.ndarray:
+        pos = np.argsort(self.topo_order)
+        reach = np.unpackbits(self._reach.view(np.uint8), axis=1, count=self.n_vertices,
+                              bitorder="little")[np.ix_(pos, pos)].view(bool)
         reach.setflags(write=False)
         return reach
 
@@ -206,17 +213,17 @@ class Dag:
             return None
         pts = labels[:, [0, -1]].astype(float)
         if not np.all(np.isfinite(pts)) or not _same_edges(_planar_covers(pts),
-                                                           self.cover_edges):
+                                                           self.cover_edges, len(pts)):
             return None
         return pts
 
     def reachability(self) -> np.ndarray:
         """Strict reachability matrix: ``R[u, v]`` iff ``u < v``.
 
-        Built from the cover edges on first use and cached; do not mutate it.
-        Quadratic memory, for small orders; no antichain route reads it.
+        Unpacked from the packed closure on first use and cached; do not
+        mutate it.  Quadratic memory, for small orders; the package never reads it.
         """
-        return self._reach
+        return self._reach_matrix
 
     def is_comparable(self, u: int, v: int) -> bool:
         r = self.reachability()
@@ -238,9 +245,9 @@ class Dag:
         """
         n = int(n_vertices)
         # the constructor checks range and self-loops on the raw edges, and
-        # reading their closure runs Kahn's pass, which rejects a cycle
-        reach = cls(n, edges, _skip_reduction_check=True).reachability()
-        return cls(n, _transitive_reduction(reach), labels=labels,
+        # packing their closure runs Kahn's pass, which rejects a cycle
+        raw = cls(n, edges, _skip_reduction_check=True)
+        return cls(n, _covers(raw.topo_order, raw._reach), labels=labels,
                    multiplicities=multiplicities, _skip_reduction_check=True)
 
     # -- serialization -----------------------------------------------------
@@ -357,24 +364,53 @@ def _num_parse(tok: str):
         return float(tok)
 
 
-def _transitive_reduction(reach: np.ndarray) -> np.ndarray:
-    """Cover edges of the strict order with closure matrix ``reach``."""
-    # edge (u, v) is a cover iff no w with u < w < v
-    r = reach.astype(np.float32)
-    two_step = (r @ r) > 0.5
-    cover = reach & ~two_step
-    return np.argwhere(cover).astype(np.int64)
+_BLOCK = 256   # rows of a packed closure built or scanned at once
 
 
-def _same_edges(a: np.ndarray, b: np.ndarray) -> bool:
-    """True iff two edge lists hold the same ``(u, v)`` pairs, counted with
-    multiplicity, in any order."""
-    if a.shape != b.shape:
-        return False
-    if a.size == 0:
-        return True
-    m = max(int(a.max()), int(b.max())) + 1   # one int64 key per edge
-    return np.array_equal(np.sort(a[:, 0] * m + a[:, 1]), np.sort(b[:, 0] * m + b[:, 1]))
+def _points_closure(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographic order of distinct points, which extends their
+    dominance order, and their strict up-sets packed in it for :func:`_covers`."""
+    order = np.lexsort(pts.T)
+    cols, n = np.ascontiguousarray(pts[order].T), len(order)
+    up = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for a in range(0, n, _BLOCK):   # only later points lie above: columns from a on
+        le = np.all(cols[:, a:a + _BLOCK, None] <= cols[:, None, a:], axis=0)
+        np.fill_diagonal(le, False)
+        bits = np.packbits(le, axis=1, bitorder="little")   # column a is byte a // 8's bit 0
+        up.view(np.uint8)[a:a + _BLOCK, a // 8:a // 8 + bits.shape[1]] = bits
+    return order, up
+
+
+def _covers(order: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Cover edges, int64 and row-major, of the order with linear extension
+    ``order`` and strict up-sets ``up``: row ``p`` for ``order[p]``, position
+    ``q`` as bit ``q % 64`` of ``uint64`` word ``q // 64``.
+
+    The covers of u are the minimal elements of its up-set: in ``order``, the
+    first one not above a cover already found is one; take it, drop it and
+    its up-set, repeat.  A step takes ``_BLOCK`` rows, one argmax over words
+    and one gathered OR: O(m n / 64) word operations for m covers."""
+    n = len(order)
+    keys = [np.zeros(0, dtype=np.int64)]   # edge (u, v) as u * n + v
+    for a in range(0, n, _BLOCK):
+        lo = a // 64   # up-sets of rows from a on hold no bit before word lo
+        rest, rows = up[a:a + _BLOCK, lo:], np.arange(a, min(a + _BLOCK, n))
+        while (live := rest.any(axis=1)).any():
+            rest, rows = rest[live], rows[live]   # a copy: ``up`` stays as it is
+            i, k = np.arange(len(rows)), np.argmax(rest != 0, axis=1)
+            low = rest[i, k] & (~rest[i, k] + np.uint64(1))   # the lowest set bit
+            q = 64 * (lo + k) + np.frexp(low.astype(float))[1] - 1
+            keys.append(order[rows] * n + order[q])
+            rest[i, k] ^= low
+            rest &= ~up[q, lo:]
+    u, v = np.divmod(np.sort(np.concatenate(keys)), n)
+    return np.stack([u, v], axis=1).astype(np.int64)
+
+
+def _same_edges(a: np.ndarray, b: np.ndarray, n: int) -> bool:
+    """True iff two edge lists on ``0..n-1`` hold the same ``(u, v)`` pairs,
+    counted with multiplicity, in any order (one int64 key per edge)."""
+    return np.array_equal(*(np.sort(e[:, 0] * n + e[:, 1]) for e in (a, b)))
 
 
 # Rows of the planar sweep handled at once; its memory is O(n * _SWEEP_ROWS).
@@ -393,9 +429,9 @@ def _planar_covers(pts: np.ndarray) -> np.ndarray:
     strict new minima of the running minimum over the candidates.  Rows are
     swept in chunks of ``_SWEEP_ROWS``; if the sorted y never decreases (a
     line's ``(x, x)`` always), the points are a chain whose covers are its
-    consecutive pairs, with no sweep.  For distinct points the edges equal
-    ``_transitive_reduction`` of the dominance matrix, in the same
-    row-major ``(u, v)`` order.
+    consecutive pairs, with no sweep.  For distinct points the edges are
+    the dominance order's covers in row-major ``(u, v)`` order, as
+    :func:`_covers` gives them.
     """
     order = _sweep_order(pts)
     n = len(order)
@@ -560,21 +596,20 @@ def build_design_dag(points) -> Dag:
 
     The cover edges are built by one of two routes, chosen by ``d``:
 
-    * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, taken in
-      chunks of rows, so memory is O(n) per row and no n x n matrix is made.
-      A point ``x`` of the line is read as ``(x, x)``; the labels keep one
-      column.  The points are stored as the dag's planar proof, so
-      :func:`maximum_antichain` sweeps nothing more.  A chain of points, as
-      a line's always is, needs only the sort; otherwise the O(n^2) sweep
-      runs here, also for a caller that wants the width alone: on uniform
-      points and a 2-core machine, 17-21 ms at n = 2000 and 0.32-0.42 s at
-      n = 10^4, against 1 and 4-7 ms for the patience antichain.
-      :func:`planar_width` gives that width with no order built.
-      Reachability is built from the cover edges only if someone asks for it.
-    * ``d >= 3``: the dense n x n dominance matrix, reduced with an
-      O(n^3) float32 matrix product and then dropped.
+    * ``d <= 2``: one sweep over the points sorted by ``(x, y)``, in chunks
+      of rows, so memory is O(n) per row.  A point ``x`` of the line is read
+      as ``(x, x)``; the labels keep one column.  The points are stored as
+      the dag's planar proof, so :func:`maximum_antichain` sweeps nothing
+      more.  A chain of points, as a line's always is, needs only the sort;
+      otherwise the O(n^2) sweep runs here (0.32-0.42 s for 10^4 uniform
+      points on 2 cores), also for a caller that wants the width alone,
+      which :func:`planar_width` gives with no order built.
+    * ``d >= 3``: the strict up-sets of the distinct points in lexicographic
+      order, bit-packed in blocks of rows, and the covers read off them:
+      O(m n / 64) word operations and n^2/8 bytes for m cover edges.
 
-    Both give the same cover edges in the same row-major ``(u, v)`` order.
+    Both give the same cover edges in the same row-major ``(u, v)`` order
+    with no n x n matrix, and keep no closure.
     """
     pts = _cube_points(points)
     firsts, inverse = merge_duplicates(pts)
@@ -586,13 +621,7 @@ def build_design_dag(points) -> Dag:
         planar = uniq[:, [0, -1]]
         cover = _planar_covers(planar)
     else:
-        # dominance is already transitive: closure == componentwise comparison
-        le = np.ones((n, n), dtype=bool)
-        for j in range(uniq.shape[1]):
-            col = uniq[:, j]
-            le &= col[:, None] <= col[None, :]
-        np.fill_diagonal(le, False)
-        cover = _transitive_reduction(le)
+        cover = _covers(*_points_closure(uniq))
     dag = Dag(n, cover, labels=uniq,
               multiplicities=mult if mult.max() > 1 else None,
               _skip_reduction_check=True)
@@ -619,7 +648,7 @@ def is_isotonic(dag: Dag, theta, tol: float = 0.0) -> bool:
 # antichains and chain covers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntichainReport:
     """A maximum antichain with its Dilworth certificate and order splits.
 
@@ -633,7 +662,8 @@ class AntichainReport:
     running :func:`maximum_antichain`.  ``repr`` and ``dataclasses.replace``
     never read the cover, so a caller that wants the antichain alone never
     pays for it.  Two concurrent first reads may each build the cover, and
-    both get the same chains.
+    both get the same chains.  Reports compare and hash by identity, as
+    their array fields have no single truth value.
     """
 
     antichain: np.ndarray

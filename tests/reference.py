@@ -12,7 +12,9 @@ share no code with that route:
 
 It also keeps :func:`greedy_code_words`, the word-by-word first-fit scan
 that ``isodag.signals.packing_set_2d`` replaces with one mask over all
-words.
+words, and :func:`_transitive_reduction`, the dense O(n^3) reduction of a
+closure matrix that ``isodag.orders._covers`` replaces with a scan of the
+packed closure.
 """
 
 from __future__ import annotations
@@ -293,3 +295,17 @@ def greedy_code_words(nbits: int, need: float) -> list[int]:
         if ok:
             accepted.append(word)
     return accepted
+
+
+# ---------------------------------------------------------------------------
+# dense transitive reduction
+
+
+def _transitive_reduction(reach: np.ndarray) -> np.ndarray:
+    """Cover edges of the strict order with closure matrix ``reach``, as
+    int64 ``(u, v)`` rows in row-major order."""
+    # edge (u, v) is a cover iff no w with u < w < v
+    r = reach.astype(np.float32)
+    two_step = (r @ r) > 0.5
+    cover = reach & ~two_step
+    return np.argwhere(cover).astype(np.int64)

@@ -218,6 +218,16 @@ def test_antichain_stats_shape_and_bound():
         antichain_stats(2, 10, s, replicates=0, seed=0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_antichain_stats_without_a_sampler_draws_uniform_points(d):
+    """``None`` is the uniform sampler, whose ``M0`` of 1 prices the bound."""
+    st = antichain_stats(d, 40, None, replicates=3, seed=4, stream_id=1)
+    uniform = antichain_stats(d, 40, DesignSampler.uniform(d), replicates=3, seed=4,
+                              stream_id=1)
+    assert st.sizes.tolist() == uniform.sizes.tolist()
+    assert st.bound == uniform.bound == 40 ** (1 - 1 / d) / (2 * math.e)
+
+
 def test_antichain_stats_single_point():
     s = DesignSampler.uniform(2)
     st = antichain_stats(2, 1, s, replicates=3, seed=0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from isodag.orders import (
     LatticeSpec,
     SizeCapError,
     _flow_antichain,
-    _transitive_reduction,
     build_design_dag,
     build_lattice,
     disjoint_copies,
@@ -35,7 +35,7 @@ from isodag.orders import (
     planar_width,
 )
 from isodag.solvers import lse_fit
-from reference import enumerate_upper_lower_sets, upper_set_masks
+from reference import _transitive_reduction, enumerate_upper_lower_sets, upper_set_masks
 
 
 def random_dag_edges(rng, n, p=0.3):
@@ -233,13 +233,14 @@ def test_topological_order_is_not_computed_unless_read(monkeypatch, capsys):
 
 def test_constructor_proves_planar_edges_by_the_sweep(monkeypatch):
     """With planar labels the constructor checks the edges by one sweep, and
-    only edges that are not the sweep's covers take the dense check."""
+    only edges that are not the sweep's covers are checked on the packed
+    closure."""
     rng = np.random.default_rng(11)
     design = build_design_dag(rng.random((200, 2)))
     edges = design.cover_edges.tolist()
-    dense = _spy(monkeypatch, "_transitive_reduction")
+    packed = _spy(monkeypatch, "_covers")
     back = Dag.from_text(design.to_text())
-    assert "_reach" not in back.__dict__ and not dense
+    assert "_reach" not in back.__dict__ and not packed
     assert np.array_equal(back._planar_points, design._planar_points)
     u, v = edges[0]
     w = next(b for a, b in edges if a == v)   # u < v < w, so (u, w) is redundant
@@ -247,12 +248,91 @@ def test_constructor_proves_planar_edges_by_the_sweep(monkeypatch):
         Dag(design.n_vertices, edges + [[u, w]], labels=design.labels)
     with pytest.raises(ValueError, match="transitively reduced"):
         Dag(design.n_vertices, edges + [edges[7]], labels=design.labels)
-    assert len(dense) == 2
+    assert len(packed) == 2
     with pytest.raises(ValueError, match="cycle"):
         Dag(design.n_vertices, edges + [[w, u]], labels=design.labels)
     # a subset of cover edges is reduced, but not the labels' order
     part = Dag(design.n_vertices, edges[1:], labels=design.labels)
-    assert part._planar_points is None and len(dense) == 3
+    assert part._planar_points is None and len(packed) == 3
+
+
+# ---------------------------------------------------------------------------
+# packed closures
+
+
+@given(st.integers(min_value=1, max_value=200), st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_from_edges_matches_the_dense_reduction(n, p, seed):
+    """``from_edges`` and the constructor check read the covers off the packed
+    closure: the dense reduction's int64 edges, row-major, on relations given
+    in shuffled vertex and edge order."""
+    rng = np.random.default_rng(seed)
+    edges = rng.permutation(n)[np.argwhere(np.triu(rng.random((n, n)) < p, 1))]
+    edges = edges[rng.permutation(len(edges))]
+    closure = np.zeros((n, n), dtype=bool)   # by Floyd-Warshall
+    closure[edges[:, 0], edges[:, 1]] = True
+    for k in range(n):
+        closure |= np.outer(closure[:, k], closure[k, :])
+    expected = _transitive_reduction(closure)
+    dag = Dag.from_edges(n, edges)
+    assert dag.cover_edges.dtype == expected.dtype
+    assert np.array_equal(dag.cover_edges, expected)
+    assert np.array_equal(dag.reachability(), closure)
+    checked = Dag(n, expected[rng.permutation(len(expected))])
+    assert np.array_equal(checked.reachability(), closure)
+    if len(edges) > len(expected):   # some given edge is redundant
+        with pytest.raises(ValueError, match="transitively reduced"):
+            Dag(n, edges)
+
+
+@given(st.integers(min_value=3, max_value=4), st.integers(min_value=1, max_value=700),
+       st.sampled_from([None, 2, 4, 8]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_design_covers_above_the_plane_match_the_dense_reduction(d, n, grid, seed):
+    """At d = 3 and 4 the packed closure of the lexsorted points gives the
+    dense reduction's edges bitwise, with shared coordinates (points snapped
+    to a grid of ``1/grid``), signed zeros and merged duplicates, over one
+    or several row blocks; the builder keeps no closure."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    if grid is not None:
+        pts = np.round(pts * grid) / grid
+    pts[pts < 0.1] = 0.0
+    pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    pts = np.concatenate([pts, pts[rng.integers(0, n, size=n // 3)]])
+    dag = build_design_dag(pts)
+    uniq = dag.labels
+    le = (uniq[:, None, :] <= uniq[None, :, :]).all(axis=2)
+    np.fill_diagonal(le, False)
+    expected = _transitive_reduction(le)
+    assert dag.cover_edges.dtype == expected.dtype
+    assert np.array_equal(dag.cover_edges, expected)
+    assert "_reach" not in dag.__dict__
+
+
+def test_cube_lattice_edges_pass_the_packed_check():
+    """The 16^3 lattice's edges are its order's covers, up to edge order."""
+    lattice = build_lattice(LatticeSpec.cube(3, 16))
+    edges = lattice.cover_edges
+    Dag(lattice.n_vertices, edges[::-1])
+    assert orders._same_edges(Dag.from_edges(lattice.n_vertices, edges).cover_edges, edges,
+                              lattice.n_vertices)
+
+
+def test_design_order_above_the_plane_builds_no_n_by_n_array():
+    """At d = 3 the build's traced peak stays below n^2 bytes, one n x n
+    bool matrix: the packed closure takes n^2 / 8."""
+    n = 3000
+    pts = np.random.default_rng(8).random((n, 3))
+    tracemalloc.start()
+    try:
+        dag = build_design_dag(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dag.cover_edges) > n
+    assert peak < n * n
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +788,17 @@ def test_reports_build_their_chain_cover_once_on_first_read(route, builder, monk
     assert report.chain_cover is cover and len(calls) == 1
     assert_valid_antichain_report(dag, report)
     assert [c.tolist() for c in copy.chain_cover] == [c.tolist() for c in cover]
+
+
+def test_reports_compare_and_hash_by_identity(monkeypatch):
+    """Two reports of one order compare unequal with no error and build no
+    chain cover; a report hashes, and equals itself."""
+    dag = build_design_dag(np.random.default_rng(9).random((30, 3)))
+    calls = _spy(monkeypatch, "_flow_chains")
+    a, b = maximum_antichain(dag), maximum_antichain(dag)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert hash(a) == hash(a)
+    assert calls == [] and "chain_cover" not in a.__dict__ | b.__dict__
 
 
 @pytest.mark.parametrize("d", [1, 2])
