@@ -61,9 +61,12 @@ def _is_number(token: str) -> bool:
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        grid = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError:
-        raise ValueError(f"could not parse n grid {text!r}") from None
+        grid = ()
+    if not grid:
+        raise ValueError(f"could not parse n grid {text!r}")
+    return grid
 
 
 def _lattice_signal(name: str, d: int, n: int, seed: int, k: int | None,
@@ -209,12 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_fit(args) -> int:
     if args.data:
         with open(args.data, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows and not _is_number(rows[0][-1]):
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]   # no blank lines
+        for line, row in rows:
+            if len(row) != len(rows[0][1]):
+                raise ValueError(f"{args.data} line {line} has {len(row)} fields, "
+                                 f"line {rows[0][0]} has {len(rows[0][1])}")
+        if rows and not _is_number(rows[0][1][-1]):
             rows = rows[1:]
         if not rows:
             raise ValueError("no data rows in input")
-        arr = np.asarray([[float(v) for v in row] for row in rows])
+        arr = np.asarray([[float(v) for v in row] for _, row in rows])
         coords, y = arr[:, 1:-1], arr[:, -1]
         if coords.shape[1] != args.d:
             raise ValueError(f"--d {args.d} but file has {coords.shape[1]} coordinates")

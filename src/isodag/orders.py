@@ -62,27 +62,30 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr
 
 
-def _frozen_copy(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``arr``: the dag cannot be changed through the
-    caller's array, and the caller's array stays writable."""
-    arr = arr.copy()
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _topological_order(n: int, edges: np.ndarray) -> np.ndarray:
-    """Kahn's algorithm; raises ValueError on a cycle."""
-    indeg = [0] * n
-    heads: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges.tolist():
-        heads[u].append(v)
-        indeg[v] += 1
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``: the dag cannot be changed through the
+    caller's array, and the caller's array stays writable."""
+    return _frozen(arr.copy())
+
+
+def _topological_order(ptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Kahn's algorithm on the successor array ``(ptr, heads)`` of
+    :attr:`Dag._succ`: sources popped lowest id first, heads in edge order.
+    Raises ValueError on a cycle."""
+    n = len(ptr) - 1
+    indeg = np.bincount(heads, minlength=n).tolist()
+    ptr, heads = ptr.tolist(), heads.tolist()
     stack = [u for u in range(n - 1, -1, -1) if indeg[u] == 0]
     order = []
     while stack:
         u = stack.pop()
         order.append(u)
-        for v in heads[u]:
+        for v in heads[ptr[u]:ptr[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 stack.append(v)
@@ -111,8 +114,10 @@ class Dag:
 
     Instances are immutable after construction and safe to share across
     concurrent readers.  ``cover_edges`` is a read-only int64 copy of the
-    given edges.  The topological order, reachability and the planar proof
-    are computed when first read and cached.  Two concurrent first reads may
+    given edges.  The successor array, the topological order, reachability
+    and the planar proof are computed when first read and cached; Kahn's
+    pass, the packed closure and :func:`longest_chain` walk the one
+    successor array, with no per-vertex lists.  Two concurrent first reads may
     each compute a value, and both get the same one.  The constructor checks
     that the edges are reduced and acyclic: by one planar sweep when the
     labels' dominance order has exactly these cover edges, and otherwise on
@@ -163,39 +168,36 @@ class Dag:
 
         Raises ``ValueError`` if the edges contain a cycle.
         """
-        order = _topological_order(self.n_vertices, self.cover_edges)
-        order.setflags(write=False)
-        return order
+        return _frozen(_topological_order(*self._succ))
 
     @cached_property
-    def children(self) -> list[list[int]]:
-        """Cover-edge successors of each vertex, as Python lists (cached)."""
-        children: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.cover_edges.tolist():
-            children[u].append(v)
-        return children
+    def _succ(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cover-edge successors as one array (cached): vertex ``u``'s are
+        ``heads[ptr[u]:ptr[u + 1]]``, in edge order."""
+        tails, heads = self.cover_edges.T
+        ptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=self.n_vertices))]
+        return _frozen(ptr), _frozen(heads[np.argsort(tails, kind="stable")])
 
     @cached_property
     def _reach(self) -> np.ndarray:
         """The strict up-sets packed for :func:`_covers`, rows and columns in
-        ``topo_order``: each row ORs its children's, then drops itself."""
+        ``topo_order``: each row ORs its successors', then drops itself."""
         ids, pos = np.arange(self.n_vertices), np.argsort(self.topo_order)
+        ptr, heads = self._succ
+        ptr, heads = ptr.tolist(), pos[heads]   # each head as its row
         bit = np.uint64(1) << (ids % 64).astype(np.uint64)
         up = np.zeros((len(ids), -(-len(ids) // 64)), dtype=np.uint64)
         for p, u in zip(ids[::-1].tolist(), self.topo_order[::-1].tolist()):
-            np.bitwise_or.reduce(up[pos[self.children[u]]], axis=0, out=up[p])
+            np.bitwise_or.reduce(up[heads[ptr[u]:ptr[u + 1]]], axis=0, out=up[p])
             up[p, p // 64] |= bit[p]
         up[ids, ids // 64] ^= bit
-        up.setflags(write=False)
-        return up
+        return _frozen(up)
 
     @cached_property
     def _reach_matrix(self) -> np.ndarray:
         pos = np.argsort(self.topo_order)
-        reach = np.unpackbits(self._reach.view(np.uint8), axis=1, count=self.n_vertices,
-                              bitorder="little")[np.ix_(pos, pos)].view(bool)
-        reach.setflags(write=False)
-        return reach
+        return _frozen(np.unpackbits(self._reach.view(np.uint8), axis=1, count=self.n_vertices,
+                                     bitorder="little")[np.ix_(pos, pos)].view(bool))
 
     @cached_property
     def _planar_points(self) -> np.ndarray | None:
@@ -262,10 +264,7 @@ class Dag:
         and no coordinate lines.  Round-trips exactly through
         :meth:`from_text`.
         """
-        if self.labels is None:
-            d = 0
-        else:
-            d = self.labels.shape[1]
+        d = 0 if self.labels is None else self.labels.shape[1]
         lines = [f"{self.n_vertices} {d}"]
         with_mult = self.multiplicities is not None and not np.all(self.multiplicities == 1.0)
         if d or with_mult:
@@ -292,9 +291,7 @@ class Dag:
         if len(head) != 2:
             raise ValueError("first line must be 'n d'")
         n, d = int(head[0]), int(head[1])
-        pos = 1
-        labels = None
-        mult = None
+        pos, labels, mult = 1, None, None
         if pos < len(lines) and lines[pos] != "edges" and (d > 0 or lines[pos].split()):
             rows = []
             for i in range(n):
@@ -364,6 +361,18 @@ def _num_parse(tok: str):
         return float(tok)
 
 
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Edges ``(u, v)`` on ``0..n-1`` as int64 keys ``u * n + v``, which sort
+    in row-major order."""
+    return u * n + v
+
+
+def _row_major(keys: np.ndarray, n: int) -> np.ndarray:
+    """The edges of :func:`_edge_keys`' ``keys``, int64 and row-major."""
+    u, v = np.divmod(np.sort(keys), n)
+    return np.stack([u, v], axis=1).astype(np.int64, copy=False)
+
+
 _BLOCK = 256   # rows of a packed closure built or scanned at once
 
 
@@ -391,7 +400,7 @@ def _covers(order: np.ndarray, up: np.ndarray) -> np.ndarray:
     its up-set, repeat.  A step takes ``_BLOCK`` rows, one argmax over words
     and one gathered OR: O(m n / 64) word operations for m covers."""
     n = len(order)
-    keys = [np.zeros(0, dtype=np.int64)]   # edge (u, v) as u * n + v
+    keys = [np.zeros(0, dtype=np.int64)]
     for a in range(0, n, _BLOCK):
         lo = a // 64   # up-sets of rows from a on hold no bit before word lo
         rest, rows = up[a:a + _BLOCK, lo:], np.arange(a, min(a + _BLOCK, n))
@@ -400,17 +409,16 @@ def _covers(order: np.ndarray, up: np.ndarray) -> np.ndarray:
             i, k = np.arange(len(rows)), np.argmax(rest != 0, axis=1)
             low = rest[i, k] & (~rest[i, k] + np.uint64(1))   # the lowest set bit
             q = 64 * (lo + k) + np.frexp(low.astype(float))[1] - 1
-            keys.append(order[rows] * n + order[q])
+            keys.append(_edge_keys(order[rows], order[q], n))
             rest[i, k] ^= low
             rest &= ~up[q, lo:]
-    u, v = np.divmod(np.sort(np.concatenate(keys)), n)
-    return np.stack([u, v], axis=1).astype(np.int64)
+    return _row_major(np.concatenate(keys), n)
 
 
 def _same_edges(a: np.ndarray, b: np.ndarray, n: int) -> bool:
     """True iff two edge lists on ``0..n-1`` hold the same ``(u, v)`` pairs,
     counted with multiplicity, in any order (one int64 key per edge)."""
-    return np.array_equal(*(np.sort(e[:, 0] * n + e[:, 1]) for e in (a, b)))
+    return np.array_equal(*(np.sort(_edge_keys(*e.T, n)) for e in (a, b)))
 
 
 # Rows of the planar sweep handled at once; its memory is O(n * _SWEEP_ROWS).
@@ -437,11 +445,10 @@ def _planar_covers(pts: np.ndarray) -> np.ndarray:
     n = len(order)
     ys = pts[order, 1]
     if np.all(ys[1:] >= ys[:-1]):   # a chain: each point covers the one before
-        u, v = np.divmod(np.sort(order[:-1] * n + order[1:]), n)
-        return np.stack([u, v], axis=1).astype(np.int64)
+        return _row_major(_edge_keys(order[:-1], order[1:], n), n)
     # y as int32 ranks (equal y, equal rank): the running minimum is cheaper
     y = np.unique(ys, return_inverse=True)[1].astype(np.int32)
-    keys = []   # edge (u, v) as u * n + v, which sorts in row-major order
+    keys = []
     for a in range(0, n - 1, _SWEEP_ROWS):
         k = min(_SWEEP_ROWS, n - 1 - a)
         later = y[a + 1:]
@@ -453,9 +460,8 @@ def _planar_covers(pts: np.ndarray) -> np.ndarray:
         cover[:, 0] = low[:, 0] < n
         np.less(low[:, 1:], low[:, :-1], out=cover[:, 1:])
         r, c = np.divmod(np.flatnonzero(cover), n - 1 - a)
-        keys.append(order[a + r] * n + order[a + 1 + c])
-    u, v = np.divmod(np.sort(np.concatenate(keys)), n)
-    return np.stack([u, v], axis=1).astype(np.int64)
+        keys.append(_edge_keys(order[a + r], order[a + 1 + c], n))
+    return _row_major(np.concatenate(keys), n)
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +533,13 @@ def build_lattice(spec: LatticeSpec) -> Dag:
     if n > LATTICE_VERTEX_CAP:
         raise SizeCapError(
             f"lattice has {n} vertices, above the cap of {LATTICE_VERTEX_CAP}")
-    sides = spec.side_lengths
-    d = spec.d
-    shape = tuple(sides)
-    ids = np.arange(n).reshape(shape)
-    edges = []
-    for j in range(d):
-        if sides[j] < 2:
-            continue
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[j] = slice(0, sides[j] - 1)
-        hi[j] = slice(1, sides[j])
-        edges.append(np.stack([ids[tuple(lo)].ravel(), ids[tuple(hi)].ravel()], axis=1))
-    cover = np.concatenate(edges, axis=0) if edges else np.zeros((0, 2), dtype=np.int64)
+    ids = np.arange(n).reshape(spec.side_lengths)
+    # the step along axis j joins each vertex but the last of its line to the next
+    edges = [np.stack([np.delete(ids, -1, axis=j).ravel(), np.delete(ids, 0, axis=j).ravel()],
+                      axis=1) for j, s in enumerate(spec.side_lengths) if s > 1]
+    cover = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
     dag = Dag(n, cover, labels=lattice_vertices(spec), _skip_reduction_check=True)
-    if d <= 2:
+    if spec.d <= 2:
         dag._planar_points = dag.labels[:, [0, -1]].astype(float)
     return dag
 
@@ -639,8 +636,7 @@ def is_isotonic(dag: Dag, theta, tol: float = 0.0) -> bool:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dag.n_vertices,):
         raise ValueError("theta length does not match vertex count")
-    u = dag.cover_edges[:, 0]
-    v = dag.cover_edges[:, 1]
+    u, v = dag.cover_edges.T
     return bool(np.all(theta[u] <= theta[v] + tol))
 
 
@@ -897,8 +893,7 @@ def level_antichain(spec: LatticeSpec, level="max") -> np.ndarray:
     ndarray
         Sorted vertex ids whose 1-based coordinates sum to ``level``.
     """
-    d = spec.d
-    lo, hi = d, sum(spec.side_lengths)
+    lo, hi = spec.d, sum(spec.side_lengths)
     if level == "max":
         counts = level_cardinalities(spec)
         level = lo + int(np.argmax(counts))
@@ -919,20 +914,17 @@ def level_antichain_report(spec: LatticeSpec, level="max") -> AntichainReport:
     """
     ids = level_antichain(spec, level)
     sums = lattice_vertices(spec).sum(axis=1)
-    lev = int(sums[ids[0]])
-    upper = np.flatnonzero(sums > lev)
-    lower = np.flatnonzero(sums < lev)
-    return AntichainReport(antichain=ids, upper_split=upper, lower_split=lower)
+    lev = sums[ids[0]]
+    return AntichainReport(ids, np.flatnonzero(sums > lev), np.flatnonzero(sums < lev))
 
 
 def longest_chain(dag: Dag) -> np.ndarray:
     """Vertex ids of a maximum chain, in increasing order."""
     n = dag.n_vertices
-    best_len = [1] * n
-    best_next = [-1] * n
-    children = dag.children
+    best_len, best_next = [1] * n, [-1] * n
+    ptr, heads = (a.tolist() for a in dag._succ)
     for u in dag.topo_order[::-1].tolist():
-        for v in children[u]:
+        for v in heads[ptr[u]:ptr[u + 1]]:
             if best_len[v] + 1 > best_len[u]:
                 best_len[u] = best_len[v] + 1
                 best_next[u] = v

@@ -12,9 +12,11 @@ share no code with that route:
 
 It also keeps :func:`greedy_code_words`, the word-by-word first-fit scan
 that ``isodag.signals.packing_set_2d`` replaces with one mask over all
-words, and :func:`_transitive_reduction`, the dense O(n^3) reduction of a
+words, :func:`_transitive_reduction`, the dense O(n^3) reduction of a
 closure matrix that ``isodag.orders._covers`` replaces with a scan of the
-packed closure.
+packed closure, and :func:`_topological_order`, Kahn's pass on per-vertex
+lists of heads that ``isodag.orders._topological_order`` runs on the dag's
+one successor array.
 """
 
 from __future__ import annotations
@@ -309,3 +311,28 @@ def _transitive_reduction(reach: np.ndarray) -> np.ndarray:
     two_step = (r @ r) > 0.5
     cover = reach & ~two_step
     return np.argwhere(cover).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# list-based Kahn's pass
+
+
+def _topological_order(n: int, edges: np.ndarray) -> np.ndarray:
+    """Kahn's algorithm; raises ValueError on a cycle."""
+    indeg = [0] * n
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        heads[u].append(v)
+        indeg[v] += 1
+    stack = [u for u in range(n - 1, -1, -1) if indeg[u] == 0]
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in heads[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    if len(order) != n:
+        raise ValueError("edge set contains a cycle")
+    return np.asarray(order, dtype=np.int64)

@@ -93,6 +93,43 @@ def test_fit_rejects_nan_coordinate_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["\nindex,x_1,x_2,y\n0,0.1,0.2,1.0\n1,0.3,0.4,2.0\n",
+                                  "index,x_1,x_2,y\n0,0.1,0.2,1.0\n1,0.3,0.4,2.0\n\n",
+                                  "0,0.1,0.2,1.0\n\n1,0.3,0.4,2.0\n"])
+def test_fit_skips_blank_lines(tmp_path, capsys, text):
+    """Blank lines before, between or after the rows are skipped: the fit
+    and its output file are those of the file without them."""
+    outs = []
+    for name, body in [("blank", text), ("plain", text.replace("\n\n", "\n").lstrip())]:
+        (tmp_path / f"{name}.csv").write_text(body)
+        assert main(["fit", "--data", str(tmp_path / f"{name}.csv"), "--d", "2",
+                     "--out", str(tmp_path / f"{name}_fit.csv")]) == 0
+        outs.append((tmp_path / f"{name}_fit.csv").read_text())
+    assert outs[0] == outs[1]
+    assert "fit: n=2 vertices=2" in capsys.readouterr().out
+
+
+def test_fit_refuses_a_ragged_row_naming_it(tmp_path, capsys):
+    data = tmp_path / "obs.csv"
+    data.write_text("index,x_1,x_2,y\n\n0,0.1,0.2,1.0\n1,0.3,2.0\n")
+    assert main(["fit", "--data", str(data), "--d", "2", "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {data} line 4 has 3 fields, line 1 has 4\n"
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["antichain", "sweep-fixed"])
+@pytest.mark.parametrize("grid", [",", " , ,", ""])
+def test_empty_n_grid_exits_2(tmp_path, capsys, command, grid):
+    """A grid with no size is refused before anything runs or is written."""
+    out = tmp_path / "x.csv"
+    argv = [command, "--d", "2", "--n-grid", grid]
+    if command == "sweep-fixed":
+        argv += ["--signal", "foo", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: could not parse n grid {grid!r}\n")
+    assert not out.exists()
+
+
 def test_fit_certificate_failure_exits_3(tmp_path, capsys, monkeypatch):
     """A fit that is not the projection fails its certificate: exit 3, the
     failure named on stderr, and no output file."""

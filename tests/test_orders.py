@@ -35,7 +35,8 @@ from isodag.orders import (
     planar_width,
 )
 from isodag.solvers import lse_fit
-from reference import _transitive_reduction, enumerate_upper_lower_sets, upper_set_masks
+from reference import (_topological_order, _transitive_reduction, enumerate_upper_lower_sets,
+                       upper_set_masks)
 
 
 def random_dag_edges(rng, n, p=0.3):
@@ -204,8 +205,8 @@ def test_disjoint_copies_tile_the_order():
 
 
 def test_topo_order_is_kahns_when_read():
-    """Read lazily, the order is bitwise the one Kahn's pass gives on the
-    cover edges, and it is computed once."""
+    """Read lazily, the order is bitwise the one the list-based Kahn's pass
+    of the reference gives on the cover edges, and it is computed once."""
     rng = np.random.default_rng(5)
     part = Dag.from_edges(6, [(3, 1), (1, 0), (4, 2), (5, 2), (3, 2)])
     for dag in [build_lattice(LatticeSpec((4, 5))), build_lattice(LatticeSpec((3, 3, 3))),
@@ -215,7 +216,7 @@ def test_topo_order_is_kahns_when_read():
                 disjoint_copies(build_design_dag(rng.random((50, 2))), 3),
                 Dag.from_text(build_design_dag(rng.random((90, 2))).to_text())]:
         assert "topo_order" not in dag.__dict__
-        expected = orders._topological_order(dag.n_vertices, dag.cover_edges)
+        expected = _topological_order(dag.n_vertices, dag.cover_edges)
         assert dag.topo_order.dtype == expected.dtype
         assert np.array_equal(dag.topo_order, expected)
         assert not dag.topo_order.flags.writeable
@@ -320,18 +321,26 @@ def test_cube_lattice_edges_pass_the_packed_check():
                               lattice.n_vertices)
 
 
-def test_design_order_above_the_plane_builds_no_n_by_n_array():
-    """At d = 3 the build's traced peak stays below n^2 bytes, one n x n
-    bool matrix: the packed closure takes n^2 / 8."""
-    n = 3000
-    pts = np.random.default_rng(8).random((n, 3))
+def _traced_peak(build):
     tracemalloc.start()
     try:
-        dag = build_design_dag(pts)
-        peak = tracemalloc.get_traced_memory()[1]
+        return build(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_design_order_above_the_plane_builds_no_n_by_n_array():
+    """At d = 3 the build's traced peak, and that of ``from_edges`` on its
+    cover edges, stays below n^2 bytes, one n x n bool matrix: the packed
+    closure takes n^2 / 8, and the walks of the raw edges read one
+    successor array."""
+    n = 3000
+    pts = np.random.default_rng(8).random((n, 3))
+    dag, peak = _traced_peak(lambda: build_design_dag(pts))
     assert len(dag.cover_edges) > n
+    assert peak < n * n
+    again, peak = _traced_peak(lambda: Dag.from_edges(n, dag.cover_edges))
+    assert np.array_equal(again.cover_edges, dag.cover_edges)
     assert peak < n * n
 
 
@@ -401,13 +410,14 @@ def test_longest_chain_is_the_first_longest(n, seed):
     """The chain starts at the lowest id among the longest chains' bottoms,
     and each step takes the first child in edge order that keeps it longest."""
     dag = Dag.from_edges(n, random_dag_edges(np.random.default_rng(seed), n))
+    succ = [[v for u, v in dag.cover_edges.tolist() if u == w] for w in range(n)]
     height = np.ones(n, dtype=np.int64)   # vertices on a longest chain from each
     for u in dag.topo_order[::-1].tolist():
-        height[u] += max((height[v] for v in dag.children[u]), default=0)
+        height[u] += max((height[v] for v in succ[u]), default=0)
     chain = longest_chain(dag).tolist()
     assert chain[0] == int(np.argmax(height)) and len(chain) == height.max()
     for u, v in zip(chain, chain[1:]):
-        assert v == next(c for c in dag.children[u] if height[c] == height[u] - 1)
+        assert v == next(c for c in succ[u] if height[c] == height[u] - 1)
 
 
 def test_design_dag_matches_lattice_reachability():
