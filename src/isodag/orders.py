@@ -252,75 +252,6 @@ class Dag:
         return cls(n, _covers(raw.topo_order, raw._reach), labels=labels,
                    multiplicities=multiplicities, _skip_reduction_check=True)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_text(self) -> str:
-        """Serialize to the plain-text interchange format.
-
-        Line 1 is ``n d``; the next ``n`` lines give vertex coordinates
-        (``d`` columns; a trailing multiplicity column is appended when any
-        vertex carries weight != 1); a literal ``edges`` line follows, then
-        one ``u v`` line per cover edge.  ``d = 0`` means unlabeled vertices
-        and no coordinate lines.  Round-trips exactly through
-        :meth:`from_text`.
-        """
-        d = 0 if self.labels is None else self.labels.shape[1]
-        lines = [f"{self.n_vertices} {d}"]
-        with_mult = self.multiplicities is not None and not np.all(self.multiplicities == 1.0)
-        if d or with_mult:
-            for i in range(self.n_vertices):
-                parts = [] if self.labels is None else [_num_repr(x) for x in self.labels[i]]
-                if with_mult:
-                    parts.append(_num_repr(self.multiplicities[i]))
-                lines.append(" ".join(parts))
-        lines.append("edges")
-        lines.extend(f"{u} {v}" for u, v in self.cover_edges.tolist())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Dag":
-        """Parse the format written by :meth:`to_text`.
-
-        The edges must be cover edges: a transitively redundant edge raises
-        ``ValueError``, as it does in the constructor.
-        """
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        if not lines:
-            raise ValueError("empty dag text")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise ValueError("first line must be 'n d'")
-        n, d = int(head[0]), int(head[1])
-        pos, labels, mult = 1, None, None
-        if pos < len(lines) and lines[pos] != "edges" and (d > 0 or lines[pos].split()):
-            rows = []
-            for i in range(n):
-                if pos >= len(lines) or lines[pos] == "edges":
-                    raise ValueError("truncated vertex block")
-                rows.append([_num_parse(tok) for tok in lines[pos].split()])
-                pos += 1
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise ValueError("ragged vertex block")
-            width = widths.pop()
-            if width == d + 1:
-                mult = np.asarray([r[-1] for r in rows], dtype=float)
-                rows = [r[:-1] for r in rows]
-            elif width != d:
-                raise ValueError(f"expected {d} coordinates per vertex, got {width}")
-            if d:
-                labels = np.asarray(rows)
-        if pos >= len(lines) or lines[pos] != "edges":
-            raise ValueError("missing 'edges' line")
-        pos += 1
-        edges = []
-        for ln in lines[pos:]:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise ValueError(f"bad edge line: {ln!r}")
-            edges.append((int(toks[0]), int(toks[1])))
-        return cls(n, edges, labels=labels, multiplicities=mult)
-
 
 def disjoint_copies(dag: Dag, copies: int) -> Dag:
     """The order of ``copies`` side-by-side copies of ``dag``, none comparable
@@ -344,21 +275,6 @@ def disjoint_copies(dag: Dag, copies: int) -> Dag:
     edges = (dag.cover_edges[None] + offsets[:, None, None]).reshape(-1, 2)
     mult = None if dag.multiplicities is None else np.tile(dag.multiplicities, copies)
     return Dag(n * copies, edges, multiplicities=mult, _skip_reduction_check=True)
-
-
-def _num_repr(x) -> str:
-    # integers print bare so lattice labels round-trip as ints
-    f = float(x)
-    if f.is_integer() and abs(f) < 2**53:
-        return str(int(f))
-    return repr(f)
-
-
-def _num_parse(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        return float(tok)
 
 
 def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

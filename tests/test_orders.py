@@ -144,33 +144,12 @@ def test_reduce_closure_round_trip(n, seed):
     assert np.array_equal(reach, closure)
 
 
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_text_round_trip(n, seed):
-    rng = np.random.default_rng(seed)
-    dag = Dag.from_edges(n, random_dag_edges(rng, n),
-                         labels=rng.integers(0, 5, size=(n, 2)),
-                         multiplicities=rng.integers(1, 4, size=n).astype(float))
-    back = Dag.from_text(dag.to_text())
-    assert back.n_vertices == dag.n_vertices
-    assert np.array_equal(back.cover_edges, dag.cover_edges)
-    assert np.allclose(back.labels.astype(float), dag.labels.astype(float))
-    assert np.array_equal(back.weights(), dag.weights())
-
-
-def test_to_text_edge_lines_match_the_row_loop():
-    dag = build_design_dag(np.random.default_rng(3).random((300, 2)))
-    reference = "".join(f"{u} {v}\n" for u, v in dag.cover_edges)  # numpy scalars
-    head, edges = dag.to_text().split("edges\n")
-    assert edges == reference
-    assert head.count("\n") == 1 + dag.n_vertices
-
-
-def test_from_text_rejects_redundant_edges():
-    # 0 -> 2 is implied by 0 -> 1 -> 2, so it is not a cover edge
+def test_constructor_rejects_redundant_edges():
+    # 0 -> 2 is implied by 0 -> 1 -> 2, so it is not a cover edge; with no
+    # labels the check runs on the packed closure
     with pytest.raises(ValueError, match="transitively reduced"):
-        Dag.from_text("3 0\nedges\n0 1\n1 2\n0 2\n")
-    dag = Dag.from_text("3 0\nedges\n0 1\n1 2\n")
+        Dag(3, [(0, 1), (1, 2), (0, 2)])
+    dag = Dag(3, [(0, 1), (1, 2)])
     assert dag.cover_edges.tolist() == [[0, 1], [1, 2]]
 
 
@@ -209,12 +188,14 @@ def test_topo_order_is_kahns_when_read():
     of the reference gives on the cover edges, and it is computed once."""
     rng = np.random.default_rng(5)
     part = Dag.from_edges(6, [(3, 1), (1, 0), (4, 2), (5, 2), (3, 2)])
-    for dag in [build_lattice(LatticeSpec((4, 5))), build_lattice(LatticeSpec((3, 3, 3))),
-                build_lattice(LatticeSpec((7,))), build_design_dag(rng.random((300, 2))),
-                build_design_dag(rng.random(80)), build_design_dag(rng.random((120, 3))),
-                part, disjoint_copies(part, 4),
-                disjoint_copies(build_design_dag(rng.random((50, 2))), 3),
-                Dag.from_text(build_design_dag(rng.random((90, 2))).to_text())]:
+    dags = [build_lattice(LatticeSpec((4, 5))), build_lattice(LatticeSpec((3, 3, 3))),
+            build_lattice(LatticeSpec((7,))), build_design_dag(rng.random((300, 2))),
+            build_design_dag(rng.random(80)), build_design_dag(rng.random((120, 3))),
+            part, disjoint_copies(part, 4),
+            disjoint_copies(build_design_dag(rng.random((50, 2))), 3)]
+    d = build_design_dag(rng.random((90, 2)))
+    dags.append(Dag(d.n_vertices, d.cover_edges, labels=d.labels, multiplicities=d.multiplicities))
+    for dag in dags:
         assert "topo_order" not in dag.__dict__
         expected = _topological_order(dag.n_vertices, dag.cover_edges)
         assert dag.topo_order.dtype == expected.dtype
@@ -240,7 +221,8 @@ def test_constructor_proves_planar_edges_by_the_sweep(monkeypatch):
     design = build_design_dag(rng.random((200, 2)))
     edges = design.cover_edges.tolist()
     packed = _spy(monkeypatch, "_covers")
-    back = Dag.from_text(design.to_text())
+    back = Dag(design.n_vertices, design.cover_edges, labels=design.labels,
+               multiplicities=design.multiplicities)
     assert "_reach" not in back.__dict__ and not packed
     assert np.array_equal(back._planar_points, design._planar_points)
     u, v = edges[0]
@@ -951,8 +933,9 @@ def test_cube_lattices_state_no_planar_points():
 @pytest.mark.parametrize("shape", [(400, 2), (400,)])
 def test_design_edges_fit_and_serialize_as_given_ones(shape):
     """A design order built from points of the plane fits and serializes
-    bitwise as the same order with the sweep's edges handed to the public
-    constructor, which proves them by sweeping its labels."""
+    bitwise (labels, multiplicities and cover edges) as the same order with
+    the sweep's edges handed to the public constructor, which proves them by
+    sweeping its labels."""
     rng = np.random.default_rng(8)
     dag = build_design_dag(np.round(rng.random(shape) * 30) / 30)   # repeats carry weight
     given_edges = Dag(dag.n_vertices, orders._planar_covers(dag._planar_points),
@@ -962,7 +945,8 @@ def test_design_edges_fit_and_serialize_as_given_ones(shape):
     expected = lse_fit(given_edges, y)
     assert fit.theta_hat.tobytes() == expected.theta_hat.tobytes()
     assert fit.residual.tobytes() == expected.residual.tobytes()
-    assert dag.to_text() == given_edges.to_text()
+    assert dag.labels.tobytes() == given_edges.labels.tobytes()
+    assert dag.multiplicities.tobytes() == given_edges.multiplicities.tobytes()
     assert dag.cover_edges.tobytes() == given_edges.cover_edges.tobytes()
 
 
